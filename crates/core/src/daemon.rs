@@ -130,7 +130,7 @@ pub(crate) struct DaemonState {
     /// Virtual time each live subscription was created (first-contact
     /// stream policy).
     pub(crate) sub_times: HashMap<SubscriptionId, Micros>,
-    pub(crate) peer_subs: HashMap<u32, HashMap<String, crate::interest::PeerInterest>>,
+    pub(crate) peer_subs: crate::peers::PeerTable,
     pub(crate) calls: HashMap<u64, CallState>,
     pub(crate) conn_calls: HashMap<ConnId, u64>,
     pub(crate) services: HashMap<String, usize>,
@@ -210,7 +210,7 @@ impl DaemonState {
             pending_announce_remove: Vec::new(),
             announce_flush_armed: false,
             sub_times: HashMap::new(),
-            peer_subs: HashMap::new(),
+            peer_subs: crate::peers::PeerTable::new(),
             calls: HashMap::new(),
             conn_calls: HashMap::new(),
             services: HashMap::new(),
@@ -314,54 +314,19 @@ impl DaemonState {
     /// be sent.
     fn publish_interest_accepts(&mut self, subject: &Subject, value: &Value) -> bool {
         let mut evals = 0u64;
-        let mut matched_any = false;
-        let mut accept = false;
-        for (id, t) in self.trie.matches(subject) {
-            if !matches!(t, crate::interest::SubTarget::App { .. }) {
-                continue;
-            }
-            matched_any = true;
-            match self.sub_preds.get(&id) {
-                None => {
-                    accept = true;
-                    break;
-                }
-                Some(p) => {
-                    evals += 1;
-                    if p.eval(value) {
-                        accept = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if !accept {
-            'peers: for peers in self.peer_subs.values() {
-                for pi in peers.values() {
-                    if !pi.filter.matches(subject) {
-                        continue;
-                    }
-                    matched_any = true;
-                    match &pi.pred {
-                        None => {
-                            accept = true;
-                            break 'peers;
-                        }
-                        Some(p) => {
-                            evals += 1;
-                            if p.eval(value) {
-                                accept = true;
-                                break 'peers;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !accept && self.link_interested(subject) {
-            accept = true;
-        }
-        let send = accept || !matched_any;
+        let local = self
+            .trie
+            .matches(subject)
+            .filter(|(_, t)| matches!(t, SubTarget::App { .. }))
+            .map(|(id, _)| self.sub_preds.get(&id).map(|p| &**p));
+        let links = std::iter::once_with(|| self.link_interested(subject))
+            .filter(|&interested| interested)
+            .map(|_| None);
+        let send = crate::engine::filter::interest_accepts(
+            value,
+            local.chain(self.peer_subs.matching(subject)).chain(links),
+            &mut evals,
+        );
         self.engine.stats.filt_evals += evals;
         if !send {
             self.engine.stats.filt_pub_suppressed += 1;
@@ -579,13 +544,7 @@ impl DaemonState {
                 // completes (abandons) its entries.
                 continue;
             };
-            let interested: Vec<u32> = self
-                .peer_subs
-                .iter()
-                .filter(|(_, filters)| filters.values().any(|pi| pi.filter.matches(&subject)))
-                .map(|(h, _)| *h)
-                .collect();
-            interest.insert(s, interested);
+            interest.insert(s, self.peer_subs.interested_hosts(&subject));
         }
         let actions = self.engine.handle_gd_retry(net.now(), shard, interest);
         self.apply(net, actions);
@@ -829,62 +788,15 @@ impl Process for BusDaemon {
                     self.state.accept_envelope(ctx, env);
                 }
             }
-            Packet::Nak {
-                stream,
-                subject,
-                requester,
-                missing,
-            } => {
-                let actions = self.state.engine.handle(
-                    ctx.now(),
-                    Event::Nak {
-                        stream,
-                        subject,
-                        requester,
-                        missing,
-                    },
-                );
-                self.state.apply(ctx, actions);
-            }
-            Packet::GapSkip {
-                stream,
-                subject,
-                through,
-            } => {
-                let actions = self.state.engine.handle(
-                    ctx.now(),
-                    Event::GapSkip {
-                        stream,
-                        subject,
-                        through,
-                    },
-                );
-                self.state.apply(ctx, actions);
-            }
-            Packet::Ack {
-                stream,
-                subject,
-                seq,
-                from_host,
-            } => {
-                let actions = self.state.engine.handle(
-                    ctx.now(),
-                    Event::Ack {
-                        stream,
-                        subject,
-                        seq,
-                        from_host,
-                    },
-                );
-                self.state.apply(ctx, actions);
-            }
             Packet::SubAnnounce {
                 host,
                 full,
                 add,
                 remove,
             } => {
-                self.state.handle_sub_announce(host, full, add, remove);
+                if host != self.state.host32 {
+                    self.state.peer_subs.apply_announce(host, full, add, remove);
+                }
             }
             Packet::SubResync { host } => {
                 if host != self.state.host32 {
@@ -893,6 +805,13 @@ impl Process for BusDaemon {
             }
             Packet::SeqSync { entries } => {
                 self.state.handle_seqsync(ctx, entries);
+            }
+            // Nak, GapSkip, Ack: engine events as they stand.
+            repair => {
+                if let Ok(event) = Event::try_from(repair) {
+                    let actions = self.state.engine.handle(ctx.now(), event);
+                    self.state.apply(ctx, actions);
+                }
             }
         }
         self.drain(ctx);

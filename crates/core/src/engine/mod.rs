@@ -184,6 +184,50 @@ pub enum Event {
     },
 }
 
+/// Repair traffic — `Nak`, `GapSkip`, `Ack` — is an engine event exactly
+/// as it arrives. Every other packet needs driver context first
+/// (entitlement, subscription tables) and is handed back unchanged.
+impl TryFrom<Packet> for Event {
+    type Error = Packet;
+
+    fn try_from(packet: Packet) -> Result<Event, Packet> {
+        match packet {
+            Packet::Nak {
+                stream,
+                subject,
+                requester,
+                missing,
+            } => Ok(Event::Nak {
+                stream,
+                subject,
+                requester,
+                missing,
+            }),
+            Packet::GapSkip {
+                stream,
+                subject,
+                through,
+            } => Ok(Event::GapSkip {
+                stream,
+                subject,
+                through,
+            }),
+            Packet::Ack {
+                stream,
+                subject,
+                seq,
+                from_host,
+            } => Ok(Event::Ack {
+                stream,
+                subject,
+                seq,
+                from_host,
+            }),
+            other => Err(other),
+        }
+    }
+}
+
 /// An effect the engine asks its driver to perform. Perform actions in
 /// the order given.
 #[derive(Debug, Clone)]

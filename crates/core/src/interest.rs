@@ -6,7 +6,7 @@
 //! segment. The engine only sees the *derived* facts (entitlement
 //! verdicts, per-subject interest snapshots).
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use infobus_netsim::Ctx;
@@ -17,16 +17,6 @@ use crate::daemon::DaemonState;
 use crate::engine::filter::{announced_predicate, CompiledPredicate};
 use crate::engine::Micros;
 use crate::msg::{AnnounceEntry, Packet};
-
-/// One peer daemon's announced filter: the parsed subject filter plus
-/// the content predicate it travels with (`None` = unfiltered). Feeds
-/// the publish gate: a publication matched only by predicated peer
-/// filters that all reject is never broadcast.
-#[derive(Debug, Clone)]
-pub(crate) struct PeerInterest {
-    pub(crate) filter: SubjectFilter,
-    pub(crate) pred: Option<Arc<CompiledPredicate>>,
-}
 
 /// What a trie entry routes to.
 #[derive(Debug, Clone)]
@@ -270,24 +260,13 @@ impl DaemonState {
     }
 
     pub(crate) fn known_subscriptions(&self) -> Vec<SubjectFilter> {
-        let mut seen: HashSet<String> = HashSet::new();
-        let mut out = Vec::new();
-        for f in self.my_filters.keys() {
-            if seen.insert(f.clone()) {
-                if let Ok(filter) = SubjectFilter::new(f) {
-                    out.push(filter);
-                }
-            }
-        }
-        for peers in self.peer_subs.values() {
-            for (s, pi) in peers {
-                if seen.insert(s.clone()) {
-                    out.push(pi.filter.clone());
-                }
-            }
-        }
-        out.sort_by(|a, b| a.as_str().cmp(b.as_str()));
-        out
+        let mut texts: BTreeSet<String> = self.my_filters.keys().cloned().collect();
+        texts.extend(self.peer_subs.filters());
+        // Only parseable filters ever enter either table.
+        texts
+            .iter()
+            .filter_map(|f| SubjectFilter::new(f).ok())
+            .collect()
     }
 
     /// The earliest creation time among local subscriptions matching
@@ -298,36 +277,5 @@ impl DaemonState {
             .matches(subject)
             .filter_map(|(id, _)| self.sub_times.get(&id).copied())
             .min()
-    }
-
-    pub(crate) fn handle_sub_announce(
-        &mut self,
-        host: u32,
-        full: bool,
-        add: Vec<AnnounceEntry>,
-        remove: Vec<String>,
-    ) {
-        if host == self.host32 {
-            return;
-        }
-        let entry = self.peer_subs.entry(host).or_default();
-        if full {
-            entry.clear();
-        }
-        for e in add {
-            if let Ok(filter) = SubjectFilter::new(&e.filter) {
-                // A malformed predicate decodes to `None` — unfiltered,
-                // the direction that can only over-deliver.
-                let pred = if e.pred.is_empty() {
-                    None
-                } else {
-                    CompiledPredicate::from_bytes(&e.pred).ok().map(Arc::new)
-                };
-                entry.insert(e.filter, PeerInterest { filter, pred });
-            }
-        }
-        for f in remove {
-            entry.remove(&f);
-        }
     }
 }

@@ -65,6 +65,7 @@ mod interest;
 mod links;
 pub mod msg;
 pub mod nvstore;
+pub mod peers;
 pub mod queue;
 mod rmi;
 pub mod router;
@@ -83,6 +84,7 @@ pub use fabric::BusFabric;
 pub use infobus_router::{SubjectMap, SubjectMapError};
 pub use infobus_wal::FsyncPolicy;
 pub use nvstore::NvStore;
+pub use peers::PeerTable;
 pub use rmi::{CallId, RetryMode, RmiError, SelectionPolicy, ServiceObject};
 
 use std::fmt;

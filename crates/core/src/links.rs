@@ -113,11 +113,7 @@ impl DaemonState {
         if let Some(subs) = self.my_filters.get(filter) {
             sources.extend(subs.iter().map(|(_, p)| p.clone()));
         }
-        for peers in self.peer_subs.values() {
-            if let Some(pi) = peers.get(filter) {
-                sources.push(pi.pred.clone());
-            }
-        }
+        sources.extend(self.peer_subs.announced_for(filter));
         announced_predicate(&sources).map_or_else(Vec::new, |p| p.to_bytes())
     }
 
@@ -131,9 +127,7 @@ impl DaemonState {
             return;
         }
         let mut set: BTreeSet<String> = self.my_filters.keys().cloned().collect();
-        for peers in self.peer_subs.values() {
-            set.extend(peers.keys().cloned());
-        }
+        set.extend(self.peer_subs.filters());
         let filters: Vec<String> = set.into_iter().collect();
         let actions = self
             .router

@@ -1,4 +1,6 @@
-//! [`ReactorBus`]: the poll-based edge daemon.
+//! [`ReactorBus`]: the poll-based edge daemon — a drain-then-sleep I/O
+//! loop and a session broker around the shared
+//! [`DriverCore`].
 //!
 //! One reactor thread multiplexes three event sources over a single
 //! **non-blocking** UDP socket (`set_nonblocking(true)` + a
@@ -6,8 +8,8 @@
 //!
 //! 1. the socket — peer frames (`IBUS`) and thin-client session frames
 //!    (`IBSS`) share the port and are dispatched on the leading magic;
-//! 2. the [`TimerWheel`] of engine deadlines (batch flush, NAK scan,
-//!    guaranteed-delivery retry, digests);
+//! 2. the core's engine deadlines (batch flush, NAK scan,
+//!    guaranteed-delivery retry, digests) and soft-state refresh;
 //! 3. the [`SessionBroker`] freshness scan (heartbeat eviction).
 //!
 //! Where the blocking [`UdpBus`](infobus_net::UdpBus) parks its reader
@@ -17,40 +19,32 @@
 //! thread host tens of thousands of thin-client sessions: per-session
 //! cost is a map entry and a cursor, never a thread or a blocking call.
 //!
-//! The protocol brain is the same sans-I/O [`ShardedEngine`] the other
-//! three drivers use; fan-out additionally crosses into the broker so
+//! Everything that is not I/O — trie, publish gate, fan-out, peer
+//! tables, announcements, timers, ledger — is the core's. Sessions plug
+//! into it as its [`LocalInterest`]: fan-out crosses into the broker so
 //! sessions receive cursor-stamped [`Deliver`](SessionFrame::Deliver)
 //! frames, and session [`Publish`](SessionFrame::Publish) frames (fan-in)
-//! enter the engine exactly like local API publishes.
+//! enter the core's publish tail exactly like local API publishes.
 //!
-//! Lock order is `engine → {trie, peers, peer_subs, timers, nv,
-//! broker, conns}`; inner locks never take the engine lock, so the
-//! caller-thread publish path and the reactor thread cannot deadlock.
+//! Lock order extends the core's: `engine → core locks → {broker,
+//! conns}`; neither session lock is ever held while taking the engine
+//! lock.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use infobus_core::engine::filter::{announced_predicate, approx_wire_bytes, FilterCounters};
-use infobus_core::engine::{
-    run_sharded_actions, Action, BusStats, Event, Micros, PubSource, ShardId, ShardTransport,
-    ShardedEngine, ShardedStats, TimerKind, Transport,
-};
-use infobus_core::msg::{AnnounceEntry, Packet};
-use infobus_core::queue::{sub_queue, SubSender};
+use infobus_core::engine::{BusStats, Micros, PubSource, ShardedEngine, ShardedStats};
 use infobus_core::{
-    BufPool, Bus, BusConfig, BusError, BusReceiver, Bytes, CompiledPredicate, Delivery, Envelope,
-    EnvelopeKind, NvStore, Predicate, QoS, SubjectMap, SubscriptionHandle,
+    Bus, BusConfig, BusError, BusReceiver, Envelope, Predicate, QoS, SubscriptionHandle,
 };
 use infobus_net::clock::MonoClock;
-use infobus_net::frame::{decode_frame, encode_frame};
-use infobus_net::loss::LossRng;
-use infobus_net::timers::TimerWheel;
-use infobus_subject::{Subject, SubjectFilter, SubjectTrie, SubscriptionId};
-use infobus_types::{wire, TypeRegistry, Value};
+use infobus_net::driver::{net_err, poisoned, CoreSetup, DatagramSink, DriverCore, LocalInterest};
+use infobus_subject::Subject;
+use infobus_types::Value;
 
 use crate::broker::{ConnId, SessOut, SessionBroker};
 use crate::session::{decode_session_frame, encode_session_frame, is_session_frame, SessionFrame};
@@ -59,17 +53,6 @@ use crate::session::{decode_session_frame, encode_session_frame, is_session_fram
 /// Short enough that timers and freshly armed deadlines fire promptly;
 /// long enough that an idle daemon costs ~no CPU.
 const POLL_IDLE: Duration = Duration::from_micros(500);
-
-fn net_err(e: std::io::Error) -> BusError {
-    BusError::Net(e.to_string())
-}
-
-fn poisoned<T>(r: Result<T, impl std::fmt::Display>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => panic!("lock poisoned: {e}"),
-    }
-}
 
 /// Configuration for a [`ReactorBus`] (builder style).
 #[derive(Debug, Clone)]
@@ -152,79 +135,27 @@ impl EdgeConfig {
     }
 }
 
-/// One local API subscription: its queue, creation time (first-contact
-/// entitlement), canonical filter text (announcements), and optional
-/// content predicate (the delivery gate).
-struct SubEntry {
-    tx: SubSender<Delivery>,
-    since: Micros,
-    filter: String,
-    pred: Option<Arc<CompiledPredicate>>,
-}
-
-/// One filter a peer daemon announced, with the content predicate it
-/// travels with (`None` = unfiltered).
-struct PeerFilter {
-    filter: SubjectFilter,
-    pred: Option<Arc<CompiledPredicate>>,
-}
-
-/// The wire predicate this daemon's *API* subscriptions currently imply
-/// for filter `text`: `None` when no API subscription uses the filter,
-/// otherwise the combined announced-predicate bytes (empty =
-/// unfiltered). Session subscriptions announce separately (always
-/// unfiltered — the broker enforces their predicates at fan-out).
-fn announced_pred_state(trie: &SubjectTrie<SubEntry>, text: &str) -> Option<Vec<u8>> {
-    let mut preds: Vec<Option<Arc<CompiledPredicate>>> = Vec::new();
-    trie.for_each(|_, _, e| {
-        if e.filter == text {
-            preds.push(e.pred.clone());
-        }
-    });
-    if preds.is_empty() {
-        None
-    } else {
-        Some(announced_predicate(&preds).map_or_else(Vec::new, |p| p.to_bytes()))
-    }
-}
-
-struct Inner {
-    host: u32,
-    app: String,
-    /// Recycled marshal buffers — see [`BufPool`].
-    pool: BufPool,
+/// The send policy of the reactor: non-blocking. A full send buffer
+/// (`WouldBlock`) counts `net_send_retries` and drops the datagram — NAK
+/// repair and guaranteed-delivery rounds recover; a reactor never sleeps
+/// in a send.
+struct NonBlockingSink {
     socket: UdpSocket,
-    local: SocketAddr,
-    clock: MonoClock,
-    engine: Mutex<ShardedEngine>,
-    trie: RwLock<SubjectTrie<SubEntry>>,
-    registry: Mutex<TypeRegistry>,
-    timers: Mutex<TimerWheel>,
-    peers: RwLock<HashMap<u32, SocketAddr>>,
-    peer_subs: Mutex<HashMap<u32, HashMap<String, PeerFilter>>>,
-    /// Semantic subject layer ([`BusConfig::subject_map`]): canonicalizes
-    /// published subjects, expands subscribed filters.
-    semantic: Option<Arc<SubjectMap>>,
-    /// Semantic expansion families: head subscription id → sibling ids,
-    /// removed together.
-    expansions: Mutex<HashMap<SubscriptionId, Vec<SubscriptionId>>>,
-    /// Content-filter and semantic-layer counters (atomics: the gates
-    /// run on caller and reactor threads alike).
-    filt: FilterCounters,
-    /// Guaranteed-delivery non-volatile store: in-memory by default, a
-    /// per-shard write-ahead ledger when `BusConfig::durable_dir` is
-    /// set (replayed into the engine at bind).
-    nv: Mutex<NvStore>,
-    broker: Mutex<SessionBroker>,
-    /// Session transport mappings (`addr ↔ conn`), driver-owned: the
-    /// broker only ever sees the opaque [`ConnId`].
-    conns: Mutex<ConnTable>,
-    running: AtomicBool,
-    recv_loss: f64,
-    loss_seed: u64,
-    queue_cap: usize,
-    queue_dropped: Arc<AtomicU64>,
-    sess_scan_us: Micros,
+}
+
+impl DatagramSink for NonBlockingSink {
+    fn send_datagram(&self, addr: SocketAddr, bytes: &[u8], stats: &mut BusStats) {
+        match self.socket.send_to(bytes, addr) {
+            Ok(n) => {
+                stats.net_tx_packets += 1;
+                stats.net_tx_bytes += n as u64;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                stats.net_send_retries += 1;
+            }
+            Err(_) => stats.net_send_errors += 1,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -257,6 +188,75 @@ impl ConnTable {
     }
 }
 
+/// Thin-client sessions as the core's [`LocalInterest`]: the broker,
+/// plus the transport mappings (`addr ↔ conn`) it never sees — it only
+/// knows the opaque [`ConnId`].
+struct Sessions {
+    broker: Mutex<SessionBroker>,
+    conns: Mutex<ConnTable>,
+}
+
+impl Sessions {
+    fn send_frame(
+        &self,
+        sink: &impl DatagramSink,
+        conn: ConnId,
+        frame: &SessionFrame,
+        stats: &mut BusStats,
+    ) {
+        let Some(addr) = poisoned(self.conns.lock()).addr_of(conn) else {
+            stats.net_send_errors += 1;
+            return;
+        };
+        sink.send_datagram(addr, &encode_session_frame(frame), stats);
+    }
+}
+
+impl LocalInterest for Sessions {
+    fn announced_filters(&self) -> Vec<String> {
+        poisoned(self.broker.lock()).filters()
+    }
+
+    fn earliest_matching_sub(&self, subject: &Subject) -> Option<Micros> {
+        poisoned(self.broker.lock()).earliest_matching_sub(subject)
+    }
+
+    /// The broker stamps cursors, applies backpressure, and gates
+    /// predicated session subscriptions; all that is performed here are
+    /// the resulting sends. Session deliveries are tracked by the
+    /// broker's `sess_delivered`.
+    fn on_deliver<S: DatagramSink>(
+        &self,
+        sink: &S,
+        stats: &mut BusStats,
+        env: &Envelope,
+        value_of: &mut dyn FnMut() -> Option<Value>,
+    ) -> (usize, usize) {
+        let (outs, rejected) = poisoned(self.broker.lock()).on_deliver(
+            &env.subject,
+            env.subject.as_str(),
+            &env.payload,
+            env.redelivery,
+            value_of,
+        );
+        let mut sent = 0;
+        for out in outs {
+            if let SessOut::Send { conn, frame } = out {
+                self.send_frame(sink, conn, &frame, stats);
+                sent += 1;
+            }
+        }
+        (sent, rejected)
+    }
+}
+
+struct Inner {
+    core: DriverCore<NonBlockingSink, Sessions>,
+    clock: MonoClock,
+    local: SocketAddr,
+    running: AtomicBool,
+}
+
 /// The poll-based edge daemon. See the [module docs](self).
 ///
 /// Dropping (or [`ReactorBus::close`]-ing) the bus stops and joins the
@@ -276,73 +276,34 @@ impl ReactorBus {
     /// Returns [`BusError::Net`] if the socket cannot be bound or put
     /// into non-blocking mode.
     pub fn bind(cfg: EdgeConfig) -> Result<ReactorBus, BusError> {
-        cfg.bus.validate()?;
         let socket = UdpSocket::bind(cfg.bind).map_err(net_err)?;
         socket.set_nonblocking(true).map_err(net_err)?;
         let local = socket.local_addr().map_err(net_err)?;
-        let queue_cap = cfg.bus.subscriber_queue_cap;
-        let shards = cfg.bus.shards.max(1);
-        let sess_scan_us = cfg.bus.heartbeat_period_us;
-        let pool_slots = cfg.bus.marshal_pool_slots();
-        let semantic = cfg.bus.semantic_map().cloned();
-        let broker = SessionBroker::new(&cfg.bus, cfg.session_token);
-        // Open (and recover) the non-volatile store before any traffic.
-        let nv = NvStore::open(&cfg.bus).map_err(net_err)?;
-        // The engine owns the daemon-wide subject intern table; ledger
-        // recovery interns its replayed subjects into it.
-        let engine = ShardedEngine::new(cfg.bus, cfg.host);
-        let recovered = nv.recovered_envelopes(engine.table()).map_err(net_err)?;
-        let inner = Arc::new(Inner {
+        let sessions = Sessions {
+            broker: Mutex::new(SessionBroker::new(&cfg.bus, cfg.session_token)),
+            conns: Mutex::new(ConnTable::default()),
+        };
+        let setup = CoreSetup {
+            bus: cfg.bus,
             host: cfg.host,
             app: cfg.app,
-            pool: BufPool::with_slots(pool_slots),
-            socket,
-            local,
-            clock: MonoClock::new(),
-            engine: Mutex::new(engine),
-            trie: RwLock::new(SubjectTrie::new()),
-            registry: Mutex::new(TypeRegistry::with_fundamentals()),
-            timers: Mutex::new(TimerWheel::new(shards)),
-            peers: RwLock::new(cfg.peers.into_iter().collect()),
-            peer_subs: Mutex::new(HashMap::new()),
-            semantic,
-            expansions: Mutex::new(HashMap::new()),
-            filt: FilterCounters::default(),
-            nv: Mutex::new(nv),
-            broker: Mutex::new(broker),
-            conns: Mutex::new(ConnTable::default()),
-            running: AtomicBool::new(true),
+            peers: cfg.peers,
+            broadcast: None,
+            no_local_echo: false,
             recv_loss: cfg.recv_loss,
             loss_seed: cfg.loss_seed,
-            queue_cap,
-            queue_dropped: Arc::new(AtomicU64::new(0)),
-            sess_scan_us,
+        };
+        let clock = MonoClock::new();
+        let core = DriverCore::open(setup, NonBlockingSink { socket }, sessions, clock.now_us())?;
+        let inner = Arc::new(Inner {
+            core,
+            clock,
+            local,
+            running: AtomicBool::new(true),
         });
-
-        {
-            let now = inner.clock.now_us();
-            let mut engine = poisoned(inner.engine.lock());
-            let (nak, sync) = (engine.config().nak_check_us, engine.config().sync_period_us);
-            {
-                let mut wheel = poisoned(inner.timers.lock());
-                for shard in 0..engine.shard_count() {
-                    wheel.arm(now + nak, shard, TimerKind::NakScan);
-                    wheel.arm(now + sync, shard, TimerKind::Sync);
-                }
-            }
-            let host = inner.host;
-            inner.send_broadcast_packet(&Packet::SubResync { host }, &mut engine.stats);
-            // Restart replay: recovered ledger envelopes re-enter their
-            // owning shards as pending redeliveries.
-            if !recovered.is_empty() {
-                let actions = engine.gd_load(recovered);
-                inner.run_engine_actions(&mut engine, now, actions);
-            }
-        }
-
         let rd = Arc::clone(&inner);
         let reactor = std::thread::Builder::new()
-            .name(format!("infobus-edge-{}", inner.host))
+            .name(format!("infobus-edge-{}", inner.core.host()))
             .spawn(move || rd.reactor_loop())
             .map_err(|e| BusError::Net(format!("spawn reactor: {e}")))?;
         Ok(ReactorBus {
@@ -358,7 +319,7 @@ impl ReactorBus {
 
     /// This daemon's host id.
     pub fn host(&self) -> u32 {
-        self.inner.host
+        self.inner.core.host()
     }
 
     /// Registers `host` at `addr` and exchanges subscription tables with
@@ -369,14 +330,7 @@ impl ReactorBus {
     /// Currently infallible (kept fallible for forward compatibility
     /// with resolver-backed peers).
     pub fn add_peer(&self, host: u32, addr: SocketAddr) -> Result<(), BusError> {
-        poisoned(self.inner.peers.write()).insert(host, addr);
-        let mut engine = poisoned(self.inner.engine.lock());
-        let me = self.inner.host;
-        self.inner
-            .send_packet_to(addr, &Packet::SubResync { host: me }, &mut engine.stats);
-        let announce = self.inner.full_announce();
-        self.inner
-            .send_packet_to(addr, &announce, &mut engine.stats);
+        self.inner.core.add_peer(host, addr);
         Ok(())
     }
 
@@ -386,9 +340,7 @@ impl ReactorBus {
     ///
     /// Returns [`BusError::Marshal`] on conflicting registration.
     pub fn register_type(&self, d: infobus_types::TypeDescriptor) -> Result<(), BusError> {
-        poisoned(self.inner.registry.lock())
-            .register(d)
-            .map_err(|e| BusError::Marshal(e.to_string()))
+        self.inner.core.register_type(d)
     }
 
     /// Subscribes to a filter; matching publications arrive on the
@@ -398,7 +350,8 @@ impl ReactorBus {
     ///
     /// Returns [`BusError::Subject`] for malformed filters.
     pub fn subscribe(&self, filter: &str) -> Result<(SubscriptionHandle, BusReceiver), BusError> {
-        self.subscribe_entry(filter, None)
+        let now = self.inner.clock.now_us();
+        self.inner.core.subscribe(now, filter, None)
     }
 
     /// Subscribes with a content predicate: only matching publications
@@ -415,78 +368,8 @@ impl ReactorBus {
         filter: &str,
         pred: &Predicate,
     ) -> Result<(SubscriptionHandle, BusReceiver), BusError> {
-        let compiled = Arc::new(CompiledPredicate::compile(pred)?);
-        self.subscribe_entry(filter, Some(compiled))
-    }
-
-    fn subscribe_entry(
-        &self,
-        filter: &str,
-        pred: Option<Arc<CompiledPredicate>>,
-    ) -> Result<(SubscriptionHandle, BusReceiver), BusError> {
-        // Semantic expansion: one call may materialize sibling
-        // subscriptions on every synonym/broadening of the filter.
-        let expanded: Vec<String> = match &self.inner.semantic {
-            Some(m) => m.expand_filter(filter),
-            None => vec![filter.to_owned()],
-        };
-        let mut parsed = Vec::with_capacity(expanded.len());
-        for f in &expanded {
-            parsed.push(SubjectFilter::new(f)?);
-        }
         let now = self.inner.clock.now_us();
-        // Filters some session also holds stay announced unfiltered —
-        // the broker enforces session predicates at fan-out.
-        let sess_filters = poisoned(self.inner.broker.lock()).filters();
-        let mut engine = poisoned(self.inner.engine.lock());
-        let (tx, rx) = sub_queue(self.inner.queue_cap, Arc::clone(&self.inner.queue_dropped));
-        let mut add: Vec<AnnounceEntry> = Vec::new();
-        let mut ids = Vec::with_capacity(parsed.len());
-        {
-            let mut trie = poisoned(self.inner.trie.write());
-            for (f, text) in parsed.iter().zip(&expanded) {
-                let before = announced_pred_state(&trie, text);
-                ids.push(trie.insert(
-                    f,
-                    SubEntry {
-                        tx: tx.clone(),
-                        since: now,
-                        filter: text.clone(),
-                        pred: pred.clone(),
-                    },
-                ));
-                // Announce new filters, and *re*-announce when a sibling
-                // changed what the filter's combined predicate says
-                // (peers replace on receipt). A filter some session
-                // holds is already announced unfiltered and stays that
-                // way.
-                let after = announced_pred_state(&trie, text).expect("filter just inserted");
-                if before.as_ref() != Some(&after) && !sess_filters.contains(text) {
-                    add.push(AnnounceEntry {
-                        filter: text.clone(),
-                        pred: after,
-                    });
-                }
-            }
-        }
-        if !add.is_empty() {
-            let pkt = Packet::SubAnnounce {
-                host: self.inner.host,
-                full: false,
-                add,
-                remove: vec![],
-            };
-            self.inner.send_broadcast_packet(&pkt, &mut engine.stats);
-        }
-        let primary = ids[0];
-        if ids.len() > 1 {
-            self.inner
-                .filt
-                .sem_expanded
-                .fetch_add((ids.len() - 1) as u64, Ordering::Relaxed);
-            poisoned(self.inner.expansions.lock()).insert(primary, ids.split_off(1));
-        }
-        Ok((SubscriptionHandle::from_raw(primary), rx))
+        self.inner.core.subscribe(now, filter, Some(pred))
     }
 
     /// Removes a subscription (its queue closes once drained) together
@@ -495,45 +378,7 @@ impl ReactorBus {
     /// filter, or re-announces the filter's remaining combined
     /// predicate.
     pub fn unsubscribe(&self, handle: SubscriptionHandle) {
-        let mut targets = vec![handle.raw()];
-        if let Some(extras) = poisoned(self.inner.expansions.lock()).remove(&handle.raw()) {
-            targets.extend(extras);
-        }
-        let sess_filters = poisoned(self.inner.broker.lock()).filters();
-        let mut engine = poisoned(self.inner.engine.lock());
-        let mut add: Vec<AnnounceEntry> = Vec::new();
-        let mut remove: Vec<String> = Vec::new();
-        {
-            let mut trie = poisoned(self.inner.trie.write());
-            for id in targets {
-                let Some(entry) = trie.remove(id) else {
-                    continue;
-                };
-                if sess_filters.contains(&entry.filter) {
-                    // Sessions keep the filter alive (and unfiltered).
-                    continue;
-                }
-                match announced_pred_state(&trie, &entry.filter) {
-                    None => remove.push(entry.filter),
-                    // A sibling remains: re-announce unconditionally (the
-                    // departing subscription may have widened or narrowed
-                    // the combined predicate; peers replace on receipt).
-                    Some(after) => add.push(AnnounceEntry {
-                        filter: entry.filter,
-                        pred: after,
-                    }),
-                }
-            }
-        }
-        if !add.is_empty() || !remove.is_empty() {
-            let pkt = Packet::SubAnnounce {
-                host: self.inner.host,
-                full: false,
-                add,
-                remove,
-            };
-            self.inner.send_broadcast_packet(&pkt, &mut engine.stats);
-        }
+        self.inner.core.unsubscribe(handle);
     }
 
     /// Publishes a value; the engine sequences it, local subscribers and
@@ -544,44 +389,8 @@ impl ReactorBus {
     ///
     /// Returns [`BusError::Subject`] or [`BusError::Marshal`].
     pub fn publish(&self, subject: &str, value: &Value, qos: QoS) -> Result<usize, BusError> {
-        // Semantic layer: synonym subjects collapse to canonical form
-        // before the trie, the engine, or the wire see them.
-        let canon;
-        let subject = match self
-            .inner
-            .semantic
-            .as_ref()
-            .and_then(|m| m.canonicalize(subject))
-        {
-            Some(c) => {
-                self.inner
-                    .filt
-                    .sem_canonicalized
-                    .fetch_add(1, Ordering::Relaxed);
-                canon = c;
-                canon.as_str()
-            }
-            None => subject,
-        };
-        // Publish gate: when every matching interest — local
-        // subscriptions, sessions, and peer-announced filters — carries
-        // a rejecting predicate, the publication is suppressed before it
-        // is ever marshalled, sequenced, or framed.
-        if !self.inner.publish_interest_accepts(subject, value)? {
-            return Ok(0);
-        }
-        let payload = {
-            let mut buf = self.inner.pool.take();
-            let registry = poisoned(self.inner.registry.lock());
-            wire::marshal_self_describing_into(buf.vec_mut(), value, &registry)
-                .map_err(|e| BusError::Marshal(e.to_string()))?;
-            buf.freeze()
-        };
         let now = self.inner.clock.now_us();
-        let mut engine = poisoned(self.inner.engine.lock());
-        let app = self.inner.app.clone();
-        self.inner
-            .publish_payload(&mut engine, now, subject, qos, payload, &app)
+        self.inner.core.publish(now, subject, value, qos)
     }
 
     /// A snapshot of the protocol counters merged across every shard,
@@ -592,35 +401,22 @@ impl ReactorBus {
 
     /// The merged counter snapshot plus the per-shard breakdown.
     pub fn sharded_stats(&self) -> ShardedStats {
-        let mut stats = poisoned(self.inner.engine.lock()).sharded_stats();
-        let trie = poisoned(self.inner.trie.read());
-        let mut depth = 0u64;
-        trie.for_each(|_, _, e| depth += e.tx.queued() as u64);
-        stats.merged.sub_queue_depth = depth;
-        stats.merged.sub_queue_dropped = self.inner.queue_dropped.load(Ordering::Relaxed);
-        self.inner.filt.fold_into(&mut stats.merged);
-        poisoned(self.inner.broker.lock()).stats_into(&mut stats.merged);
-        poisoned(self.inner.nv.lock()).stamp_stats(&mut stats.merged);
+        let mut stats = self.inner.core.sharded_stats();
+        poisoned(self.inner.core.hook().broker.lock()).stats_into(&mut stats.merged);
         stats
     }
 
-    /// Stops the reactor thread and closes the socket. Also runs on
-    /// drop.
-    pub fn close(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.inner.running.store(false, Ordering::SeqCst);
-        if let Some(h) = self.reactor.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stops the reactor thread and closes the socket — what dropping
+    /// the bus does, by name.
+    pub fn close(self) {}
 }
 
 impl Drop for ReactorBus {
     fn drop(&mut self) {
-        self.shutdown();
+        self.inner.running.store(false, Ordering::SeqCst);
+        if let Some(h) = self.reactor.take() {
+            let _ = h.join();
+        }
     }
 }
 
@@ -658,352 +454,37 @@ impl Bus for ReactorBus {
 }
 
 impl Inner {
-    // ----- socket send path -------------------------------------------------
-
-    /// Sends one datagram, non-blockingly. A full send buffer
-    /// (`WouldBlock`) counts `net_send_retries` and drops the datagram —
-    /// NAK repair and guaranteed-delivery rounds recover; a reactor
-    /// never sleeps in a send.
-    fn send_datagram(&self, addr: SocketAddr, bytes: &[u8], stats: &mut BusStats) {
-        match self.socket.send_to(bytes, addr) {
-            Ok(n) => {
-                stats.net_tx_packets += 1;
-                stats.net_tx_bytes += n as u64;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                stats.net_send_retries += 1;
-            }
-            Err(_) => stats.net_send_errors += 1,
-        }
-    }
-
-    fn send_broadcast_packet(&self, packet: &Packet, stats: &mut BusStats) {
-        let bytes = encode_frame(self.host, packet);
-        let peers: Vec<SocketAddr> = poisoned(self.peers.read()).values().copied().collect();
-        for addr in peers {
-            self.send_datagram(addr, &bytes, stats);
-        }
-    }
-
-    fn send_packet_to(&self, addr: SocketAddr, packet: &Packet, stats: &mut BusStats) {
-        let bytes = encode_frame(self.host, packet);
-        self.send_datagram(addr, &bytes, stats);
-    }
-
-    fn send_session_frame(&self, conn: ConnId, frame: &SessionFrame, stats: &mut BusStats) {
-        let Some(addr) = poisoned(self.conns.lock()).addr_of(conn) else {
-            stats.net_send_errors += 1;
-            return;
-        };
-        let bytes = encode_session_frame(frame);
-        self.send_datagram(addr, &bytes, stats);
-    }
-
-    /// A full `SubAnnounce` of every locally subscribed filter — API
-    /// subscriptions (with their combined announced predicate) and
-    /// session subscriptions (always unfiltered: the broker enforces
-    /// session predicates at fan-out) alike.
-    fn full_announce(&self) -> Packet {
-        let sess_filters: BTreeSet<String> =
-            poisoned(self.broker.lock()).filters().into_iter().collect();
-        let trie = poisoned(self.trie.read());
-        let mut filters = BTreeSet::new();
-        trie.for_each(|_, _, e| {
-            filters.insert(e.filter.clone());
-        });
-        let mut add: Vec<AnnounceEntry> = filters
-            .iter()
-            .map(|f| {
-                if sess_filters.contains(f) {
-                    return AnnounceEntry::plain(f.clone());
-                }
-                let pred = announced_pred_state(&trie, f).unwrap_or_default();
-                AnnounceEntry {
-                    filter: f.clone(),
-                    pred,
-                }
-            })
-            .collect();
-        for f in sess_filters {
-            if !filters.contains(&f) {
-                add.push(AnnounceEntry::plain(f));
-            }
-        }
-        Packet::SubAnnounce {
-            host: self.host,
-            full: true,
-            add,
-            remove: vec![],
-        }
-    }
-
-    /// The publisher-side content gate: `false` means every matching
-    /// interest carries a rejecting predicate — the publication is
-    /// suppressed. Session interest counts as unfiltered (the broker
-    /// gates per session at fan-out); zero matching interest sends.
-    fn publish_interest_accepts(&self, subject: &str, value: &Value) -> Result<bool, BusError> {
-        let subject = Subject::new(subject)?;
-        let mut evals = 0u64;
-        let mut matched_any = false;
-        let mut accept = false;
-        {
-            let trie = poisoned(self.trie.read());
-            for (_, e) in trie.matches(&subject) {
-                matched_any = true;
-                match &e.pred {
-                    None => {
-                        accept = true;
-                        break;
-                    }
-                    Some(p) => {
-                        evals += 1;
-                        if p.eval(value) {
-                            accept = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if !accept
-            && poisoned(self.broker.lock())
-                .earliest_matching_sub(&subject)
-                .is_some()
-        {
-            matched_any = true;
-            accept = true;
-        }
-        if !accept {
-            let peer_subs = poisoned(self.peer_subs.lock());
-            'peers: for table in peer_subs.values() {
-                for pf in table.values() {
-                    if !pf.filter.matches(&subject) {
-                        continue;
-                    }
-                    matched_any = true;
-                    match &pf.pred {
-                        None => {
-                            accept = true;
-                            break 'peers;
-                        }
-                        Some(p) => {
-                            evals += 1;
-                            if p.eval(value) {
-                                accept = true;
-                                break 'peers;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let send = accept || !matched_any;
-        self.filt
-            .record_publish_gate(evals, send, approx_wire_bytes(value));
-        Ok(send)
-    }
-
-    // ----- engine plumbing --------------------------------------------------
-
-    /// Publishes an already-marshalled payload through the engine
-    /// (shared by the local API and session fan-in).
-    fn publish_payload(
-        &self,
-        engine: &mut ShardedEngine,
-        now: Micros,
-        subject: &str,
-        qos: QoS,
-        payload: impl Into<Bytes>,
-        app: &str,
-    ) -> Result<usize, BusError> {
-        let subject = engine.table().intern(subject)?;
-        let source = PubSource {
-            app: app.into(),
-            inc: 1,
-            route: None,
-        };
-        let (env, pre) = engine.publish(
-            now,
-            &source,
-            &subject,
-            qos,
-            EnvelopeKind::Data,
-            0,
-            payload.into(),
-        );
-        self.run_engine_actions(engine, now, pre);
-        let (delivered, suppressed) = self.fan_out(&mut engine.stats, &env);
-        // A predicate rejection counts as consumption: the subscriber
-        // saw and declined the envelope, so guaranteed delivery
-        // completes instead of retrying forever.
-        if qos == QoS::Guaranteed && delivered + suppressed > 0 {
-            engine.gd_local_done(&env);
-        }
-        let actions = engine.enqueue(&env);
-        self.run_engine_actions(engine, now, actions);
-        Ok(delivered)
-    }
-
-    fn run_engine_actions(
-        &self,
-        engine: &mut ShardedEngine,
-        now: Micros,
-        actions: Vec<(ShardId, Action)>,
-    ) -> usize {
-        if actions.is_empty() {
-            return 0;
-        }
-        let mut t = EdgeTransport {
-            inner: self,
-            now,
-            stats: &mut engine.stats,
-            gd_done: Vec::new(),
-            delivered: 0,
-        };
-        run_sharded_actions(actions, &mut t);
-        let EdgeTransport {
-            gd_done, delivered, ..
-        } = t;
-        for env in &gd_done {
-            engine.gd_local_done(env);
-        }
-        delivered
-    }
-
-    /// Hands an envelope to every matching API subscriber queue *and*
-    /// every matching session. Returns `(delivered, suppressed)`:
-    /// predicated subscriptions (or sessions) whose predicate rejects
-    /// the payload are skipped, and for guaranteed QoS the rejection
-    /// still counts as consumption. The payload is unmarshalled at most
-    /// once, and only when some predicated interest matches; a payload
-    /// that fails to unmarshal delivers unconditionally.
-    /// `stats.delivered` counts API-queue deliveries; session deliveries
-    /// are tracked by the broker's `sess_delivered`.
-    fn fan_out(&self, stats: &mut BusStats, env: &Envelope) -> (usize, usize) {
-        let mut count = 0usize;
-        let mut suppressed = 0usize;
-        let mut value: Option<Option<Value>> = None;
-        {
-            let trie = poisoned(self.trie.read());
-            for (_, entry) in trie.matches(&env.subject) {
-                if let Some(p) = &entry.pred {
-                    let v = value.get_or_insert_with(|| {
-                        let mut registry = poisoned(self.registry.lock());
-                        wire::unmarshal(&env.payload, &mut registry).ok()
-                    });
-                    if let Some(v) = v {
-                        self.filt.evals.fetch_add(1, Ordering::Relaxed);
-                        if !p.eval(v) {
-                            suppressed += 1;
-                            self.filt
-                                .delivery_suppressed
-                                .fetch_add(1, Ordering::Relaxed);
-                            self.filt
-                                .suppressed_bytes
-                                .fetch_add(env.payload.len() as u64, Ordering::Relaxed);
-                            continue;
-                        }
-                    }
-                }
-                let msg = Delivery {
-                    subject: env.subject.clone(),
-                    payload: env.payload.clone(),
-                    redelivery: env.redelivery,
-                    qos: env.qos,
-                    route: env.route,
-                };
-                if entry.tx.send(msg).is_ok() {
-                    count += 1;
-                }
-            }
-        }
-        stats.delivered += count as u64;
-        stats.delivered_bytes += (env.payload.len() * count) as u64;
-        // Session fan-out: the broker stamps cursors, applies
-        // backpressure, and gates predicated session subscriptions; all
-        // we perform here are the resulting sends. The broker reuses the
-        // value this fan-out may already have unmarshalled.
-        let mut unmarshal = || match value.take() {
-            Some(v) => v,
-            None => {
-                let mut registry = poisoned(self.registry.lock());
-                wire::unmarshal(&env.payload, &mut registry).ok()
-            }
-        };
-        let (outs, sess_rejected) = poisoned(self.broker.lock()).on_deliver(
-            &env.subject,
-            env.subject.as_str(),
-            &env.payload,
-            env.redelivery,
-            &mut unmarshal,
-        );
-        suppressed += sess_rejected;
-        for out in outs {
-            if let SessOut::Send { conn, frame } = out {
-                self.send_session_frame(conn, &frame, stats);
-                count += 1;
-            }
-        }
-        (count, suppressed)
-    }
-
-    /// Creation time of the earliest local interest (API subscription or
-    /// session subscription) matching `subject`.
-    fn earliest_matching_sub(&self, subject: &Subject) -> Option<Micros> {
-        let api = {
-            let trie = poisoned(self.trie.read());
-            trie.matches(subject).map(|(_, e)| e.since).min()
-        };
-        let sess = poisoned(self.broker.lock()).earliest_matching_sub(subject);
-        match (api, sess) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn gd_interest(&self, engine: &ShardedEngine) -> HashMap<String, Vec<u32>> {
-        let peer_subs = poisoned(self.peer_subs.lock());
-        let mut interest = HashMap::new();
-        for text in engine.gd_subjects() {
-            let Ok(subject) = Subject::new(&text) else {
-                continue;
-            };
-            let hosts: Vec<u32> = peer_subs
-                .iter()
-                .filter(|(_, filters)| filters.values().any(|pf| pf.filter.matches(&subject)))
-                .map(|(&h, _)| h)
-                .collect();
-            interest.insert(text, hosts);
-        }
-        interest
-    }
-
-    // ----- reactor thread ---------------------------------------------------
-
     fn reactor_loop(&self) {
+        let socket = &self.core.sink().socket;
         let mut buf = vec![0u8; 64 * 1024];
-        let mut loss = LossRng::new(self.loss_seed);
-        let mut next_sess_scan = self.clock.now_us() + self.sess_scan_us;
+        let mut loss = self.core.loss_rng();
+        let sess_scan_us = poisoned(self.core.hook().broker.lock()).scan_period_us();
+        let mut next_sess_scan = self.clock.now_us() + sess_scan_us;
         while self.running.load(Ordering::SeqCst) {
             let mut worked = false;
-            // Readiness: drain the socket to WouldBlock.
-            loop {
-                match self.socket.recv_from(&mut buf) {
-                    Ok((n, src)) => {
-                        worked = true;
-                        self.on_datagram(src, &buf[..n], &mut loss);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    // Spurious socket errors (ICMP port-unreachable as
-                    // ECONNREFUSED): don't spin, don't die.
-                    Err(_) => break,
+            // Readiness: drain the socket to WouldBlock. Spurious socket
+            // errors (ICMP port-unreachable as ECONNREFUSED) end the
+            // drain too: don't spin, don't die.
+            while let Ok((n, src)) = socket.recv_from(&mut buf) {
+                worked = true;
+                if self.core.recv_lost(&mut loss) {
+                    continue;
+                }
+                let now = self.clock.now_us();
+                if is_session_frame(&buf[..n]) {
+                    self.on_session_datagram(now, src, &buf[..n]);
+                } else {
+                    self.core.on_peer_datagram(now, src, &buf[..n]);
                 }
             }
-            worked |= self.fire_due_timers();
             let now = self.clock.now_us();
+            worked |= self.core.tick(now);
             if now >= next_sess_scan {
-                self.session_scan(now);
-                next_sess_scan = now + self.sess_scan_us;
+                // Heartbeat freshness scan: evict silent sessions.
+                let mut engine = self.core.engine();
+                let outs = poisoned(self.core.hook().broker.lock()).on_tick(now);
+                self.perform_sess_outs(&mut engine, now, outs);
+                next_sess_scan = now + sess_scan_us;
                 worked = true;
             }
             if !worked {
@@ -1012,124 +493,8 @@ impl Inner {
         }
     }
 
-    /// Fires every due engine deadline; `true` if any fired.
-    fn fire_due_timers(&self) -> bool {
-        let now = self.clock.now_us();
-        let due = poisoned(self.timers.lock()).expired(now);
-        if due.is_empty() {
-            return false;
-        }
-        let mut engine = poisoned(self.engine.lock());
-        for (shard, kind) in due {
-            let actions = match kind {
-                TimerKind::GdRetry => {
-                    let interest = self.gd_interest(&engine);
-                    engine.handle_gd_retry(now, shard, interest)
-                }
-                other => engine.handle_timer(now, shard, other),
-            };
-            self.run_engine_actions(&mut engine, now, actions);
-        }
-        true
-    }
-
-    /// Heartbeat freshness scan: evict silent sessions.
-    fn session_scan(&self, now: Micros) {
-        let mut engine = poisoned(self.engine.lock());
-        let outs = poisoned(self.broker.lock()).on_tick(now);
-        self.perform_sess_outs(&mut engine, now, outs);
-    }
-
-    /// Performs broker actions that need the engine (sends, fan-in
-    /// publishes, announce updates, connection forgetting).
-    fn perform_sess_outs(&self, engine: &mut ShardedEngine, now: Micros, outs: Vec<SessOut>) {
-        for out in outs {
-            match out {
-                SessOut::Send { conn, frame } => {
-                    self.send_session_frame(conn, &frame, &mut engine.stats);
-                }
-                SessOut::Publish {
-                    subject,
-                    qos,
-                    payload,
-                    client,
-                } => {
-                    // Fan-in: a session publish enters the engine like a
-                    // local API publish, attributed to the client name.
-                    // Synonym subjects collapse to canonical form first.
-                    let canon;
-                    let subject = match self
-                        .semantic
-                        .as_ref()
-                        .and_then(|m| m.canonicalize(&subject))
-                    {
-                        Some(c) => {
-                            self.filt.sem_canonicalized.fetch_add(1, Ordering::Relaxed);
-                            canon = c;
-                            canon.as_str()
-                        }
-                        None => subject.as_str(),
-                    };
-                    let _ = self.publish_payload(engine, now, subject, qos, payload, &client);
-                }
-                SessOut::FilterAdded(f) => {
-                    // Session interest announces unfiltered: whatever
-                    // predicate an API sibling carries, the aggregate is
-                    // now wider (the broker gates sessions at fan-out).
-                    let pkt = Packet::SubAnnounce {
-                        host: self.host,
-                        full: false,
-                        add: vec![AnnounceEntry::plain(f)],
-                        remove: vec![],
-                    };
-                    self.send_broadcast_packet(&pkt, &mut engine.stats);
-                }
-                SessOut::FilterRemoved(f) => {
-                    // If API subscriptions still hold the filter,
-                    // re-announce their combined predicate (the aggregate
-                    // may narrow back down); otherwise announce removal.
-                    let api_state = {
-                        let trie = poisoned(self.trie.read());
-                        announced_pred_state(&trie, &f)
-                    };
-                    let pkt = match api_state {
-                        Some(pred) => Packet::SubAnnounce {
-                            host: self.host,
-                            full: false,
-                            add: vec![AnnounceEntry { filter: f, pred }],
-                            remove: vec![],
-                        },
-                        None => Packet::SubAnnounce {
-                            host: self.host,
-                            full: false,
-                            add: vec![],
-                            remove: vec![f],
-                        },
-                    };
-                    self.send_broadcast_packet(&pkt, &mut engine.stats);
-                }
-                SessOut::Closed { conn } => {
-                    poisoned(self.conns.lock()).forget(conn);
-                }
-            }
-        }
-    }
-
-    fn on_datagram(&self, src: SocketAddr, datagram: &[u8], loss: &mut LossRng) {
-        if self.recv_loss > 0.0 && loss.gen_f64() < self.recv_loss {
-            poisoned(self.engine.lock()).stats.net_recv_dropped += 1;
-            return;
-        }
-        if is_session_frame(datagram) {
-            self.on_session_datagram(src, datagram);
-            return;
-        }
-        self.on_peer_datagram(src, datagram);
-    }
-
-    fn on_session_datagram(&self, src: SocketAddr, datagram: &[u8]) {
-        let now = self.clock.now_us();
-        let mut engine = poisoned(self.engine.lock());
+    fn on_session_datagram(&self, now: Micros, src: SocketAddr, datagram: &[u8]) {
+        let mut engine = self.core.engine();
         let frame = match decode_session_frame(datagram) {
             Ok(f) => f,
             Err(_) => {
@@ -1139,242 +504,47 @@ impl Inner {
         };
         engine.stats.net_rx_packets += 1;
         engine.stats.net_rx_bytes += datagram.len() as u64;
-        let conn = poisoned(self.conns.lock()).conn_for(src);
-        let outs = poisoned(self.broker.lock()).handle_frame(now, conn, frame);
+        let sessions = self.core.hook();
+        let conn = poisoned(sessions.conns.lock()).conn_for(src);
+        let outs = poisoned(sessions.broker.lock()).handle_frame(now, conn, frame);
         self.perform_sess_outs(&mut engine, now, outs);
     }
 
-    fn on_peer_datagram(&self, src: SocketAddr, datagram: &[u8]) {
-        let now = self.clock.now_us();
-        let mut engine = poisoned(self.engine.lock());
-        // Decoding interns wire subjects into the daemon's table.
-        let (from_host, packet) = match decode_frame(datagram, engine.table()) {
-            Ok(x) => x,
-            Err(_) => {
-                engine.stats.net_decode_errors += 1;
-                return;
-            }
-        };
-        if from_host == self.host {
-            return;
-        }
-        engine.stats.net_rx_packets += 1;
-        engine.stats.net_rx_bytes += datagram.len() as u64;
-        poisoned(self.peers.write()).insert(from_host, src);
-        match packet {
-            Packet::Data { envelopes, .. } => {
-                for env in envelopes {
-                    if env.stream.host == self.host {
-                        continue;
-                    }
-                    let Some(sub_at) = self.earliest_matching_sub(&env.subject) else {
-                        engine.stats.filtered += 1;
-                        continue;
+    /// Performs broker actions that need the engine (sends, fan-in
+    /// publishes, announce updates, connection forgetting).
+    fn perform_sess_outs(&self, engine: &mut ShardedEngine, now: Micros, outs: Vec<SessOut>) {
+        let core = &self.core;
+        for out in outs {
+            match out {
+                SessOut::Send { conn, frame } => {
+                    core.hook()
+                        .send_frame(core.sink(), conn, &frame, &mut engine.stats);
+                }
+                SessOut::Publish {
+                    subject,
+                    qos,
+                    payload,
+                    client,
+                } => {
+                    // Fan-in: a session publish enters the engine like a
+                    // local API publish, attributed to the client name.
+                    let source = PubSource {
+                        app: client.into(),
+                        inc: 1,
+                        route: None,
                     };
-                    let entitled = env.stream_start >= sub_at;
-                    let actions = engine.handle(now, Event::Envelope { env, entitled });
-                    self.run_engine_actions(&mut engine, now, actions);
+                    let subject = core.canonical(&subject);
+                    let _ =
+                        core.publish_payload(engine, now, &subject, payload.into(), qos, &source);
+                }
+                SessOut::FilterAdded(f) => core.announce_hook_filter(&mut engine.stats, f, true),
+                SessOut::FilterRemoved(f) => {
+                    core.announce_hook_filter(&mut engine.stats, f, false);
+                }
+                SessOut::Closed { conn } => {
+                    poisoned(core.hook().conns.lock()).forget(conn);
                 }
             }
-            Packet::Nak {
-                stream,
-                subject,
-                requester,
-                missing,
-            } => {
-                let actions = engine.handle(
-                    now,
-                    Event::Nak {
-                        stream,
-                        subject,
-                        requester,
-                        missing,
-                    },
-                );
-                self.run_engine_actions(&mut engine, now, actions);
-            }
-            Packet::GapSkip {
-                stream,
-                subject,
-                through,
-            } => {
-                let actions = engine.handle(
-                    now,
-                    Event::GapSkip {
-                        stream,
-                        subject,
-                        through,
-                    },
-                );
-                self.run_engine_actions(&mut engine, now, actions);
-            }
-            Packet::Ack {
-                stream,
-                subject,
-                seq,
-                from_host,
-            } => {
-                let actions = engine.handle(
-                    now,
-                    Event::Ack {
-                        stream,
-                        subject,
-                        seq,
-                        from_host,
-                    },
-                );
-                self.run_engine_actions(&mut engine, now, actions);
-            }
-            Packet::SeqSync { entries } => {
-                for entry in entries {
-                    if entry.stream.host == self.host {
-                        continue;
-                    }
-                    let sub_at = self.earliest_matching_sub(&entry.subject);
-                    let actions = engine.handle(now, Event::Digest { entry, sub_at });
-                    self.run_engine_actions(&mut engine, now, actions);
-                }
-            }
-            Packet::SubAnnounce {
-                host,
-                full,
-                add,
-                remove,
-            } => {
-                let mut peer_subs = poisoned(self.peer_subs.lock());
-                let table = peer_subs.entry(host).or_default();
-                if full {
-                    table.clear();
-                }
-                for e in add {
-                    if let Ok(f) = SubjectFilter::new(&e.filter) {
-                        // A malformed predicate decodes to unfiltered —
-                        // the direction that can only over-deliver.
-                        let pred = if e.pred.is_empty() {
-                            None
-                        } else {
-                            CompiledPredicate::from_bytes(&e.pred).ok().map(Arc::new)
-                        };
-                        table.insert(e.filter, PeerFilter { filter: f, pred });
-                    }
-                }
-                for text in remove {
-                    table.remove(&text);
-                }
-            }
-            Packet::SubResync { .. } => {
-                let announce = self.full_announce();
-                self.send_packet_to(src, &announce, &mut engine.stats);
-            }
         }
-    }
-}
-
-/// The [`Transport`] the reactor hands to [`run_sharded_actions`]:
-/// performs engine actions against the non-blocking socket, the timer
-/// wheel, the ledger map, the subscriber queues, and the session broker.
-struct EdgeTransport<'a> {
-    inner: &'a Inner,
-    now: Micros,
-    stats: &'a mut BusStats,
-    gd_done: Vec<Envelope>,
-    delivered: usize,
-}
-
-impl Transport for EdgeTransport<'_> {
-    fn broadcast(&mut self, packet: Packet) {
-        self.inner.send_broadcast_packet(&packet, self.stats);
-    }
-
-    fn unicast(&mut self, host: u32, packet: Packet) {
-        let addr = poisoned(self.inner.peers.read()).get(&host).copied();
-        match addr {
-            Some(addr) => self.inner.send_packet_to(addr, &packet, self.stats),
-            None => self.stats.net_send_errors += 1,
-        }
-    }
-
-    fn set_timer(&mut self, delay_us: Micros, timer: TimerKind) {
-        poisoned(self.inner.timers.lock()).arm(self.now + delay_us, 0, timer);
-    }
-
-    fn deliver(&mut self, env: Envelope) {
-        if env.kind == EnvelopeKind::Data {
-            self.delivered += self.inner.fan_out(self.stats, &env).0;
-        }
-    }
-
-    fn deliver_gd(&mut self, env: Envelope) {
-        let (delivered, suppressed) = self.inner.fan_out(self.stats, &env);
-        if delivered + suppressed > 0 {
-            self.gd_done.push(env);
-        }
-    }
-
-    fn persist(&mut self, key: String, bytes: Vec<u8>) {
-        // Untagged fallback (only reachable when actions bypass the
-        // shard router).
-        poisoned(self.inner.nv.lock()).persist(0, &key, &bytes);
-    }
-
-    fn unpersist(&mut self, key: &str) {
-        poisoned(self.inner.nv.lock()).unpersist(0, key);
-    }
-}
-
-impl ShardTransport for EdgeTransport<'_> {
-    fn set_shard_timer(&mut self, shard: ShardId, delay_us: Micros, timer: TimerKind) {
-        poisoned(self.inner.timers.lock()).arm(self.now + delay_us, shard, timer);
-    }
-
-    fn persist_shard(&mut self, shard: ShardId, key: String, bytes: Vec<u8>) {
-        poisoned(self.inner.nv.lock()).persist(shard, &key, &bytes);
-    }
-
-    fn unpersist_shard(&mut self, shard: ShardId, key: &str) {
-        poisoned(self.inner.nv.lock()).unpersist(shard, key);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn fast_cfg() -> BusConfig {
-        BusConfig::default()
-            .with_batch_enabled(false)
-            .with_nak_delay_us(2_000)
-            .with_nak_check_us(1_000)
-            .with_sync_period_us(10_000)
-            .with_gd_retry_us(10_000)
-    }
-
-    #[test]
-    fn reactor_pair_round_trip() {
-        let a = ReactorBus::bind(EdgeConfig::new(1).with_bus(fast_cfg()).with_app("a")).unwrap();
-        let b = ReactorBus::bind(EdgeConfig::new(2).with_bus(fast_cfg()).with_app("b")).unwrap();
-        a.add_peer(2, b.local_addr()).unwrap();
-        b.add_peer(1, a.local_addr()).unwrap();
-        let (_sub, rx) = b.subscribe("r.>").unwrap();
-        for i in 0..50i64 {
-            a.publish("r.x", &Value::I64(i), QoS::Reliable).unwrap();
-        }
-        for i in 0..50i64 {
-            let msg = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-            assert_eq!(msg.subject, "r.x");
-            assert_eq!(msg.value().unwrap(), Value::I64(i));
-        }
-        assert_eq!(b.stats().net_decode_errors, 0);
-    }
-
-    #[test]
-    fn local_publish_reaches_local_subscriber() {
-        let bus = ReactorBus::bind(EdgeConfig::new(1).with_bus(fast_cfg())).unwrap();
-        let (_sub, rx) = bus.subscribe("l.>").unwrap();
-        let n = bus
-            .publish("l.a", &Value::str("hi"), QoS::Reliable)
-            .unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(rx.try_recv().unwrap().value().unwrap(), Value::str("hi"));
     }
 }

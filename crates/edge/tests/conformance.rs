@@ -13,8 +13,13 @@
 //!
 //! each at shard counts 1 and 4. Subjects are spread over four distinct
 //! first segments so the sharded engine actually exercises multiple
-//! shards.
+//! shards. The contract is shard-blind: a subject's whole stream lives
+//! in exactly one shard, so every driver must deliver *identical*
+//! per-subject sequences at `shards = 1` and `shards = 4`, and
+//! per-subject order must hold across shards while inter-subject order
+//! is left explicitly unconstrained.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::net::SocketAddr;
 use std::path::Path;
@@ -121,7 +126,11 @@ fn reactor(shards: usize, loss: bool) -> Harness {
 
 fn sim_cfg(cfg: BusConfig, lossy: bool) -> Harness {
     let faults = if lossy {
-        FaultPlan::lossy()
+        // Enough receive loss that a 60-message run cannot dodge repair.
+        FaultPlan {
+            recv_loss: 0.15,
+            ..FaultPlan::lossy()
+        }
     } else {
         FaultPlan::none()
     };
@@ -145,14 +154,27 @@ fn sim(shards: usize, lossy: bool) -> Harness {
     sim_cfg(fast(shards), lossy)
 }
 
-/// The shared conformance body: subscribe to all four subject groups,
-/// publish `PER_SUBJECT` sequenced messages per subject round-robin,
-/// then assert every subject's stream arrives complete, in order, and
-/// exactly once.
-fn ordered_exactly_once(h: &Harness, qos: QoS) {
+/// The shared conformance body: subscribe to all four subject groups —
+/// with the predicate `value >= floor` when `floor > 0` — publish
+/// `PER_SUBJECT` sequenced messages per subject round-robin, then assert
+/// every subject's stream arrives as exactly `floor..PER_SUBJECT`:
+/// complete, in order, exactly once, nothing the predicate rejected ever
+/// surfacing.
+///
+/// The predicate's attribute path is empty — it tests the published
+/// value itself — which keeps this body free of type registration (the
+/// `Bus` trait has no registry surface); object-attribute paths get
+/// their own test below against the concrete drivers.
+fn streams_exactly_once(h: &Harness, qos: QoS, floor: i64) {
+    let pred = Predicate::ge("", Value::I64(floor));
     let mut rxs = Vec::new();
     for (i, _) in SUBJECTS.iter().enumerate() {
-        let (_sub, rx) = h.subscriber.subscribe(&format!("c{i}.>")).unwrap();
+        let filter = format!("c{i}.>");
+        let (_sub, rx) = if floor > 0 {
+            h.subscriber.subscribe_filtered(&filter, &pred).unwrap()
+        } else {
+            h.subscriber.subscribe(&filter).unwrap()
+        };
         rxs.push(rx);
     }
     std::thread::sleep(h.settle);
@@ -165,26 +187,32 @@ fn ordered_exactly_once(h: &Harness, qos: QoS) {
     h.publisher.drain();
     h.subscriber.drain();
 
-    // In order and complete: each queue yields 0..PER_SUBJECT in order.
-    // The timeout is per message, not a shared deadline: the whole suite
-    // runs in parallel and a loaded machine stalls repair rounds without
-    // breaking them. Guaranteed QoS is at-least-once by contract — a
-    // retransmission racing the ack may arrive as a redelivery-flagged
-    // repeat, which is tolerated; an unflagged duplicate never is.
+    // In order and complete: each queue yields floor..PER_SUBJECT in
+    // order. The timeout is per message, not a shared deadline: the whole
+    // suite runs in parallel and a loaded machine stalls repair rounds
+    // without breaking them. Guaranteed QoS is at-least-once by contract
+    // — a retransmission racing the ack may arrive as a
+    // redelivery-flagged repeat, which is tolerated; an unflagged
+    // duplicate never is.
     for (i, rx) in rxs.iter().enumerate() {
-        for want in 0..PER_SUBJECT {
+        for want in floor..PER_SUBJECT {
             let got = loop {
                 let msg = rx
                     .recv_timeout(Duration::from_secs(60))
                     .unwrap_or_else(|e| panic!("{}[{want}]: {e}", SUBJECTS[i]));
                 assert_eq!(msg.subject, SUBJECTS[i]);
-                let got = msg.value().unwrap();
-                if qos == QoS::Guaranteed && msg.redelivery && got != Value::I64(want) {
+                let got = seq_of(&msg);
+                assert!(
+                    got >= floor,
+                    "{}: predicate-rejected seq {got} was delivered",
+                    SUBJECTS[i]
+                );
+                if qos == QoS::Guaranteed && msg.redelivery && got != want {
                     continue; // at-least-once repeat of an earlier message
                 }
                 break got;
             };
-            assert_eq!(got, Value::I64(want), "{} out of order", SUBJECTS[i]);
+            assert_eq!(got, want, "{} out of order", SUBJECTS[i]);
         }
     }
     // Exactly once: nothing further arrives after a settle (modulo
@@ -200,6 +228,17 @@ fn ordered_exactly_once(h: &Harness, qos: QoS) {
             );
         }
     }
+    // Injected loss drops datagrams undecoded; nothing a conformant peer
+    // sends may fail to decode.
+    assert_eq!(h.subscriber.stats().net_decode_errors, 0);
+}
+
+fn seq_of(msg: &Delivery) -> i64 {
+    msg.value().unwrap().as_i64().unwrap()
+}
+
+fn ordered_exactly_once(h: &Harness, qos: QoS) {
+    streams_exactly_once(h, qos, 0);
 }
 
 // ----- clean transport: in order, exactly once ------------------------------
@@ -246,44 +285,150 @@ fn sim_ordered_shard4() {
 
 // ----- lossy transport: NAK repair restores both properties -----------------
 
-#[test]
-fn udp_nak_repair_shard1() {
-    let h = udp(1, true);
-    ordered_exactly_once(&h, QoS::Reliable);
+/// Loss was configured, so completeness above can only have come from
+/// NAK repair — which must therefore have run.
+fn nak_repaired(h: &Harness) {
+    ordered_exactly_once(h, QoS::Reliable);
     assert!(
         h.subscriber.stats().naks_sent > 0,
         "loss was configured but no NAK repair happened"
     );
+}
+
+#[test]
+fn udp_nak_repair_shard1() {
+    nak_repaired(&udp(1, true));
 }
 
 #[test]
 fn udp_nak_repair_shard4() {
-    ordered_exactly_once(&udp(4, true), QoS::Reliable);
+    nak_repaired(&udp(4, true));
 }
 
 #[test]
 fn reactor_nak_repair_shard1() {
-    let h = reactor(1, true);
-    ordered_exactly_once(&h, QoS::Reliable);
-    assert!(
-        h.subscriber.stats().naks_sent > 0,
-        "loss was configured but no NAK repair happened"
-    );
+    nak_repaired(&reactor(1, true));
 }
 
 #[test]
 fn reactor_nak_repair_shard4() {
-    ordered_exactly_once(&reactor(4, true), QoS::Reliable);
+    nak_repaired(&reactor(4, true));
 }
 
 #[test]
 fn sim_lossy_shard1() {
-    ordered_exactly_once(&sim(1, true), QoS::Reliable);
+    nak_repaired(&sim(1, true));
 }
 
 #[test]
 fn sim_lossy_shard4() {
-    ordered_exactly_once(&sim(4, true), QoS::Reliable);
+    nak_repaired(&sim(4, true));
+}
+
+// ----- shard-blindness: same sequences at any shard count -------------------
+
+/// Long enough streams that a sharding bug has room to reorder.
+const LONG: i64 = 120;
+
+/// Publishes `0..LONG` on each of `subjects` round-robin through one
+/// catch-all subscription and returns what arrived, per subject, in
+/// arrival order.
+fn collect_streams(h: &Harness, subjects: &[&str]) -> BTreeMap<String, Vec<i64>> {
+    let (_sub, rx) = h.subscriber.subscribe(">").unwrap();
+    std::thread::sleep(h.settle);
+    for seq in 0..LONG {
+        for subject in subjects {
+            h.publisher
+                .publish(subject, &Value::I64(seq), QoS::Reliable)
+                .unwrap();
+        }
+    }
+    h.publisher.drain();
+    h.subscriber.drain();
+    let mut by_subject: BTreeMap<String, Vec<i64>> = BTreeMap::new();
+    for _ in 0..subjects.len() * LONG as usize {
+        let msg = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("streams incomplete at {by_subject:?}: {e}"));
+        by_subject
+            .entry(msg.subject.as_str().to_owned())
+            .or_default()
+            .push(seq_of(&msg));
+    }
+    by_subject
+}
+
+/// Every subject's stream is exactly `0..LONG`: in order, complete, no
+/// duplicates. Never compares across subjects.
+fn assert_streams_exact(by_subject: &BTreeMap<String, Vec<i64>>, subjects: &[&str]) {
+    let want: Vec<i64> = (0..LONG).collect();
+    for subject in subjects {
+        assert_eq!(
+            by_subject.get(*subject),
+            Some(&want),
+            "stream {subject} not in-order exactly-once"
+        );
+    }
+}
+
+fn sharded_matches_unsharded(make: &dyn Fn(usize) -> Harness) {
+    let one = collect_streams(&make(1), &SUBJECTS);
+    let four = collect_streams(&make(4), &SUBJECTS);
+    assert_streams_exact(&one, &SUBJECTS);
+    assert_eq!(one, four, "shard count changed the delivered sequences");
+}
+
+#[test]
+fn inproc_sharded_matches_unsharded() {
+    sharded_matches_unsharded(&inproc);
+}
+
+#[test]
+fn udp_sharded_matches_unsharded() {
+    sharded_matches_unsharded(&|shards| udp(shards, false));
+}
+
+#[test]
+fn reactor_sharded_matches_unsharded() {
+    sharded_matches_unsharded(&|shards| reactor(shards, false));
+}
+
+#[test]
+fn sim_sharded_matches_unsharded() {
+    sharded_matches_unsharded(&|shards| sim(shards, false));
+}
+
+/// Subjects with distinct first segments, so a 4-shard engine routes
+/// them to different shards (asserted, not assumed).
+const SPREAD: [&str; 4] = ["alpha.ticks", "bravo.ticks", "charlie.ticks", "delta.ticks"];
+
+fn cross_shard_per_subject_order(h: &Harness) {
+    let hit: BTreeSet<usize> = SPREAD.iter().map(|s| shard_of_subject(s, 4)).collect();
+    assert!(
+        hit.len() >= 2,
+        "spread subjects all landed in one shard; the case proves nothing"
+    );
+    assert_streams_exact(&collect_streams(h, &SPREAD), &SPREAD);
+}
+
+#[test]
+fn inproc_cross_shard_per_subject_order() {
+    cross_shard_per_subject_order(&inproc(4));
+}
+
+#[test]
+fn udp_cross_shard_per_subject_order() {
+    cross_shard_per_subject_order(&udp(4, false));
+}
+
+#[test]
+fn reactor_cross_shard_per_subject_order() {
+    cross_shard_per_subject_order(&reactor(4, false));
+}
+
+#[test]
+fn sim_cross_shard_per_subject_order() {
+    cross_shard_per_subject_order(&sim(4, false));
 }
 
 // ----- guaranteed delivery through the trait --------------------------------
@@ -630,74 +775,8 @@ fn federation_gd_survives_router_restart() {
 
 const FILTER_FLOOR: i64 = 5;
 
-/// An empty attribute path predicates over the published value itself,
-/// which keeps this body free of type registration (the `Bus` trait has
-/// no registry surface); object-attribute paths get their own test
-/// below against the concrete drivers.
-fn tick(seq: i64) -> Value {
-    Value::I64(seq)
-}
-
-fn seq_of(msg: &Delivery) -> i64 {
-    msg.value().unwrap().as_i64().unwrap()
-}
-
-/// The shared filter-conformance body: every subscription carries the
-/// same predicate; each subject's stream must arrive as exactly
-/// `FILTER_FLOOR..PER_SUBJECT`, in order, with nothing the predicate
-/// rejected ever surfacing.
 fn filtered_ordered_exactly_once(h: &Harness, qos: QoS) {
-    let pred = Predicate::ge("", Value::I64(FILTER_FLOOR));
-    let mut rxs = Vec::new();
-    for (i, _) in SUBJECTS.iter().enumerate() {
-        let (_sub, rx) = h
-            .subscriber
-            .subscribe_filtered(&format!("c{i}.>"), &pred)
-            .unwrap();
-        rxs.push(rx);
-    }
-    std::thread::sleep(h.settle);
-
-    for seq in 0..PER_SUBJECT {
-        for subject in SUBJECTS {
-            h.publisher.publish(subject, &tick(seq), qos).unwrap();
-        }
-    }
-    h.publisher.drain();
-    h.subscriber.drain();
-
-    for (i, rx) in rxs.iter().enumerate() {
-        for want in FILTER_FLOOR..PER_SUBJECT {
-            let got = loop {
-                let msg = rx
-                    .recv_timeout(Duration::from_secs(60))
-                    .unwrap_or_else(|e| panic!("{}[{want}]: {e}", SUBJECTS[i]));
-                assert_eq!(msg.subject, SUBJECTS[i]);
-                let got = seq_of(&msg);
-                assert!(
-                    got >= FILTER_FLOOR,
-                    "{}: predicate-rejected seq {got} was delivered",
-                    SUBJECTS[i]
-                );
-                if qos == QoS::Guaranteed && msg.redelivery && got != want {
-                    continue; // at-least-once repeat of an earlier message
-                }
-                break got;
-            };
-            assert_eq!(got, want, "{} out of order", SUBJECTS[i]);
-        }
-    }
-    h.subscriber.drain();
-    std::thread::sleep(h.settle.max(Duration::from_millis(50)));
-    for (i, rx) in rxs.iter().enumerate() {
-        while let Ok(msg) = rx.try_recv() {
-            assert!(
-                qos == QoS::Guaranteed && msg.redelivery,
-                "{} delivered a duplicate",
-                SUBJECTS[i]
-            );
-        }
-    }
+    streams_exactly_once(h, qos, FILTER_FLOOR);
 }
 
 #[test]

@@ -1,68 +1,44 @@
-//! The UDP bus daemon: sockets, threads, and queues around the engine.
+//! The UDP bus daemon: a blocking-`recv` I/O loop around the
+//! [`DriverCore`].
 //!
-//! A [`UdpBus`] owns one `std::net::UdpSocket`, one protocol
-//! [`ShardedEngine`] behind a mutex, and one reader thread. The
-//! division of labour is strict:
+//! A [`UdpBus`] owns one `std::net::UdpSocket`, the [`MonoClock`], and
+//! one reader thread parked in `recv` until the next engine deadline —
+//! the loop shape with the lowest delivery latency. The division of
+//! labour is strict:
 //!
 //! * the **engine** decides (sequencing, NAK repair, dedup, guaranteed
 //!   delivery, batching) — identical state machines to the simulator's
 //!   daemon and the in-process bus;
-//! * this module **performs**: frames packets onto the socket (with
-//!   bounded send retry), decodes inbound datagrams truncation-safely,
-//!   keeps a [`TimerWheel`] of engine deadlines against the monotonic
-//!   [`MonoClock`], fans deliverable envelopes out to per-subscriber
-//!   drop-oldest queues, and tracks peer addresses and remote
-//!   subscription tables for broadcast fallback and guaranteed-delivery
-//!   interest.
-//!
-//! Lock order is `engine → {trie, peers, peer_subs, timers, nv}`;
-//! none of the inner locks is ever held while taking the engine lock, so
-//! the publish path (caller thread) and the reader thread cannot
-//! deadlock.
+//! * the **core** ([`crate::driver`]) performs everything that is not
+//!   I/O: subscription trie, publish gate, fan-out, peer tables,
+//!   announcements, timers, the ledger;
+//! * this module binds the socket (optionally joining a multicast
+//!   group), runs the blocking read loop, and supplies the send
+//!   policy a blocking reader can afford: bounded retry with doubling
+//!   backoff.
 
-use std::collections::{BTreeSet, HashMap};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use infobus_core::engine::filter::{announced_predicate, approx_wire_bytes, FilterCounters};
-use infobus_core::engine::{
-    run_sharded_actions, Action, BusStats, Event, Micros, PubSource, ShardId, ShardTransport,
-    ShardedEngine, ShardedStats, TimerKind, Transport,
-};
-use infobus_core::msg::{AnnounceEntry, Packet};
-use infobus_core::queue::{sub_queue, SubReceiver, SubSender};
+use infobus_core::engine::{BusStats, ShardedStats};
+use infobus_core::queue::SubReceiver;
 use infobus_core::router::RouteStamp;
 use infobus_core::{
-    BufPool, Bus, BusConfig, BusError, BusReceiver, Bytes, CompiledPredicate, Delivery, Envelope,
-    EnvelopeKind, NvStore, Predicate, QoS, SubjectMap, SubscriptionHandle,
+    Bus, BusConfig, BusError, BusReceiver, Bytes, Delivery, Predicate, QoS, SubscriptionHandle,
 };
-use infobus_subject::{Subject, SubjectFilter, SubjectTrie, SubscriptionId};
-use infobus_types::{wire, TypeRegistry, Value};
+use infobus_types::Value;
 
 use crate::clock::MonoClock;
-use crate::frame::{decode_frame, encode_frame};
-use crate::loss::LossRng;
-use crate::timers::TimerWheel;
+use crate::driver::{net_err, ApiOnly, CoreSetup, DatagramSink, DriverCore};
 
 /// How long the reader thread blocks in `recv` at most, so shutdown and
 /// freshly armed timers are noticed promptly. Timers may therefore fire
 /// up to this much late; every engine timer tolerates that (they encode
 /// *minimum* delays).
 const READ_SLICE: Duration = Duration::from_millis(5);
-
-fn net_err(e: std::io::Error) -> BusError {
-    BusError::Net(e.to_string())
-}
-
-fn poisoned<T>(r: Result<T, impl std::fmt::Display>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => panic!("lock poisoned: {e}"),
-    }
-}
 
 /// Configuration for a [`UdpBus`] (builder style, like
 /// [`BusConfig`]).
@@ -182,99 +158,42 @@ pub type NetMessage = Delivery;
 /// the unified [`Bus`] receiver.
 pub type NetReceiver = SubReceiver<NetMessage>;
 
-/// The pre-redesign name of the UDP bus's subscription handle, kept one
-/// release; subscriptions now converge on [`SubscriptionHandle`].
-#[deprecated(note = "use `SubscriptionHandle` (the unified `Bus` surface)")]
-pub type NetSubscription = SubscriptionHandle;
-
-/// One local subscription: its queue, creation time (first-contact
-/// entitlement), canonical filter text (announcements), and optional
-/// content predicate (the delivery gate).
-struct SubEntry {
-    tx: SubSender<NetMessage>,
-    since: Micros,
-    filter: String,
-    pred: Option<Arc<CompiledPredicate>>,
+/// The send policy of the blocking driver: bounded retry with doubling
+/// backoff. Transient errors count `net_send_retries`; exhaustion (or
+/// an oversized frame) counts `net_send_errors` — guaranteed delivery
+/// recovers via its retry rounds, reliable delivery via NAKs.
+struct RetrySink {
+    socket: UdpSocket,
+    retries: u32,
+    backoff_us: u64,
 }
 
-/// One filter a peer daemon announced: parsed, with the content
-/// predicate it travels with (`None` = unfiltered). Feeds the publish
-/// gate and guaranteed-delivery interest.
-struct PeerFilter {
-    filter: SubjectFilter,
-    pred: Option<Arc<CompiledPredicate>>,
-}
-
-/// The wire predicate this daemon currently announces for filter `text`:
-/// `None` when no local subscription uses the filter at all, otherwise
-/// the combined announced-predicate bytes (empty = unfiltered; see
-/// [`announced_predicate`]).
-fn announced_pred_state(trie: &SubjectTrie<SubEntry>, text: &str) -> Option<Vec<u8>> {
-    let mut preds: Vec<Option<Arc<CompiledPredicate>>> = Vec::new();
-    trie.for_each(|_, _, e| {
-        if e.filter == text {
-            preds.push(e.pred.clone());
+impl DatagramSink for RetrySink {
+    fn send_datagram(&self, addr: SocketAddr, bytes: &[u8], stats: &mut BusStats) {
+        let mut backoff = self.backoff_us;
+        for attempt in 0..=self.retries {
+            match self.socket.send_to(bytes, addr) {
+                Ok(n) => {
+                    stats.net_tx_packets += 1;
+                    stats.net_tx_bytes += n as u64;
+                    return;
+                }
+                Err(_) if attempt < self.retries => {
+                    stats.net_send_retries += 1;
+                    std::thread::sleep(Duration::from_micros(backoff));
+                    backoff = backoff.saturating_mul(2);
+                }
+                Err(_) => stats.net_send_errors += 1,
+            }
         }
-    });
-    if preds.is_empty() {
-        None
-    } else {
-        Some(announced_predicate(&preds).map_or_else(Vec::new, |p| p.to_bytes()))
     }
 }
 
 struct Inner {
-    host: u32,
-    /// The one publisher identity of this daemon, cached so a publish
-    /// clones an `Arc<str>` instead of allocating a fresh string.
-    source: PubSource,
-    /// Recycled marshal buffers — see [`BufPool`].
-    pool: BufPool,
-    socket: UdpSocket,
-    local: SocketAddr,
+    core: DriverCore<RetrySink, ApiOnly>,
     clock: MonoClock,
-    /// The protocol engine, sharded by the subject's first segment
-    /// ([`BusConfig::shards`] instances; one by default).
-    engine: Mutex<ShardedEngine>,
-    trie: RwLock<SubjectTrie<SubEntry>>,
-    registry: Mutex<TypeRegistry>,
-    timers: Mutex<TimerWheel>,
-    /// Known peer addresses; extended whenever a frame arrives from an
-    /// unknown host (every frame carries the sender's host id).
-    peers: RwLock<HashMap<u32, SocketAddr>>,
-    /// Remote subscription tables from `SubAnnounce` packets, for
-    /// guaranteed-delivery interest snapshots and the publish gate.
-    peer_subs: Mutex<HashMap<u32, HashMap<String, PeerFilter>>>,
-    /// Semantic subject layer ([`BusConfig::subject_map`]): canonicalizes
-    /// published subjects, expands subscribed filters.
-    semantic: Option<Arc<SubjectMap>>,
-    /// Semantic expansion families: head subscription id → sibling ids,
-    /// removed together.
-    expansions: Mutex<HashMap<SubscriptionId, Vec<SubscriptionId>>>,
-    /// Content-filter and semantic-layer counters (atomics: the gates
-    /// run on caller and reader threads alike).
-    filt: FilterCounters,
-    /// Guaranteed-delivery non-volatile store: in-memory by default, a
-    /// per-shard write-ahead ledger when
-    /// [`BusConfig::durable_dir`](infobus_core::BusConfig::durable_dir)
-    /// is set (replayed into the engine at bind).
-    nv: Mutex<NvStore>,
+    local: SocketAddr,
     running: AtomicBool,
-    multicast: Option<SocketAddrV4>,
-    recv_loss: f64,
-    loss_seed: u64,
-    send_retries: u32,
-    send_backoff_us: u64,
-    /// See [`UdpConfig::no_local_echo`].
-    no_local_echo: bool,
-    queue_cap: usize,
-    queue_dropped: Arc<AtomicU64>,
-    /// Soft-state refresh period ([`BusConfig::announce_period_us`]);
-    /// `0` disables the periodic resync.
-    announce_us: Micros,
-    /// Deadline of the next periodic resync, written only by the reader
-    /// thread.
-    next_announce: AtomicU64,
 }
 
 /// A bus daemon speaking the wire protocol over real UDP sockets.
@@ -295,96 +214,42 @@ impl UdpBus {
     /// Returns [`BusError::Net`] if the socket cannot be bound or the
     /// multicast group cannot be joined.
     pub fn bind(cfg: UdpConfig) -> Result<UdpBus, BusError> {
-        cfg.bus.validate()?;
         let socket = UdpSocket::bind(cfg.bind).map_err(net_err)?;
         if let Some(group) = cfg.multicast {
             socket
                 .join_multicast_v4(group.ip(), &Ipv4Addr::UNSPECIFIED)
                 .map_err(net_err)?;
-            // Own frames come back from the group; the reader drops them
+            // Own frames come back from the group; the core drops them
             // by host id.
             socket.set_multicast_loop_v4(true).map_err(net_err)?;
         }
         let local = socket.local_addr().map_err(net_err)?;
-        let queue_cap = cfg.bus.subscriber_queue_cap;
-        let shards = cfg.bus.shards.max(1);
-        // Open (and recover) the non-volatile store before any traffic:
-        // a durable daemon re-enters the segment owing every guaranteed
-        // envelope it logged before dying.
-        let nv = NvStore::open(&cfg.bus).map_err(net_err)?;
-        let announce_us = cfg.bus.announce_period_us;
-        let pool_slots = cfg.bus.marshal_pool_slots();
-        let semantic = cfg.bus.semantic_map().cloned();
-        // The engine owns the daemon-wide subject intern table; ledger
-        // recovery interns its replayed subjects into it.
-        let engine = ShardedEngine::new(cfg.bus, cfg.host);
-        let recovered = nv.recovered_envelopes(engine.table()).map_err(net_err)?;
-        let inner = Arc::new(Inner {
-            host: cfg.host,
-            source: PubSource {
-                app: cfg.app.into(),
-                inc: 1,
-                route: None,
-            },
-            pool: BufPool::with_slots(pool_slots),
+        let sink = RetrySink {
             socket,
-            local,
-            clock: MonoClock::new(),
-            engine: Mutex::new(engine),
-            trie: RwLock::new(SubjectTrie::new()),
-            registry: Mutex::new(TypeRegistry::with_fundamentals()),
-            timers: Mutex::new(TimerWheel::new(shards)),
-            peers: RwLock::new(cfg.peers.into_iter().collect()),
-            peer_subs: Mutex::new(HashMap::new()),
-            semantic,
-            expansions: Mutex::new(HashMap::new()),
-            filt: FilterCounters::default(),
-            nv: Mutex::new(nv),
-            running: AtomicBool::new(true),
-            multicast: cfg.multicast,
+            retries: cfg.send_retries,
+            backoff_us: cfg.send_backoff_us,
+        };
+        let setup = CoreSetup {
+            bus: cfg.bus,
+            host: cfg.host,
+            app: cfg.app,
+            peers: cfg.peers,
+            broadcast: cfg.multicast.map(SocketAddr::V4),
+            no_local_echo: cfg.no_local_echo,
             recv_loss: cfg.recv_loss,
             loss_seed: cfg.loss_seed,
-            send_retries: cfg.send_retries,
-            send_backoff_us: cfg.send_backoff_us,
-            no_local_echo: cfg.no_local_echo,
-            queue_cap,
-            queue_dropped: Arc::new(AtomicU64::new(0)),
-            announce_us,
-            next_announce: AtomicU64::new(0),
+        };
+        let clock = MonoClock::new();
+        let core = DriverCore::open(setup, sink, ApiOnly, clock.now_us())?;
+        let inner = Arc::new(Inner {
+            core,
+            clock,
+            local,
+            running: AtomicBool::new(true),
         });
-
-        // Arm the standing protocol timers and resynchronize soft state,
-        // exactly like the simulated daemon at start-up.
-        {
-            let now = inner.clock.now_us();
-            let mut engine = poisoned(inner.engine.lock());
-            let (nak, sync) = (engine.config().nak_check_us, engine.config().sync_period_us);
-            {
-                // Every shard scans its own gaps and digests its own
-                // idle streams.
-                let mut wheel = poisoned(inner.timers.lock());
-                for shard in 0..engine.shard_count() {
-                    wheel.arm(now + nak, shard, TimerKind::NakScan);
-                    wheel.arm(now + sync, shard, TimerKind::Sync);
-                }
-            }
-            let host = inner.host;
-            inner.send_broadcast_packet(&Packet::SubResync { host }, &mut engine.stats);
-            inner
-                .next_announce
-                .store(now + inner.announce_us, Ordering::Relaxed);
-            // Restart replay: hand the recovered ledger envelopes back
-            // to their owning shards as pending redeliveries (arms the
-            // retry timer; the retry rounds rebroadcast them).
-            if !recovered.is_empty() {
-                let actions = engine.gd_load(recovered);
-                inner.run_engine_actions(&mut engine, now, actions);
-            }
-        }
-
         let rd = Arc::clone(&inner);
         let reader = std::thread::Builder::new()
-            .name(format!("infobus-net-{}", inner.host))
+            .name(format!("infobus-net-{}", inner.core.host()))
             .spawn(move || rd.read_loop())
             .map_err(|e| BusError::Net(format!("spawn reader: {e}")))?;
         Ok(UdpBus {
@@ -400,7 +265,7 @@ impl UdpBus {
 
     /// This daemon's host id.
     pub fn host(&self) -> u32 {
-        self.inner.host
+        self.inner.core.host()
     }
 
     /// Registers `host` at `addr` and exchanges subscription tables with
@@ -411,16 +276,7 @@ impl UdpBus {
     /// Currently infallible (kept fallible for forward compatibility
     /// with resolver-backed peers).
     pub fn add_peer(&self, host: u32, addr: SocketAddr) -> Result<(), BusError> {
-        poisoned(self.inner.peers.write()).insert(host, addr);
-        let mut engine = poisoned(self.inner.engine.lock());
-        let me = self.inner.host;
-        // Ask the peer for its table and push ours, so guaranteed
-        // delivery and entitlement work without waiting for traffic.
-        self.inner
-            .send_packet_to(addr, &Packet::SubResync { host: me }, &mut engine.stats);
-        let announce = self.inner.full_announce();
-        self.inner
-            .send_packet_to(addr, &announce, &mut engine.stats);
+        self.inner.core.add_peer(host, addr);
         Ok(())
     }
 
@@ -430,9 +286,7 @@ impl UdpBus {
     ///
     /// Returns [`BusError::Marshal`] on conflicting registration.
     pub fn register_type(&self, d: infobus_types::TypeDescriptor) -> Result<(), BusError> {
-        poisoned(self.inner.registry.lock())
-            .register(d)
-            .map_err(|e| BusError::Marshal(e.to_string()))
+        self.inner.core.register_type(d)
     }
 
     /// Subscribes to a filter; matching publications arrive on the
@@ -442,7 +296,8 @@ impl UdpBus {
     ///
     /// Returns [`BusError::Subject`] for malformed filters.
     pub fn subscribe(&self, filter: &str) -> Result<(SubscriptionHandle, NetReceiver), BusError> {
-        self.subscribe_entry(filter, None)
+        let now = self.inner.clock.now_us();
+        self.inner.core.subscribe(now, filter, None)
     }
 
     /// Subscribes with a content predicate: only matching publications
@@ -459,73 +314,8 @@ impl UdpBus {
         filter: &str,
         pred: &Predicate,
     ) -> Result<(SubscriptionHandle, NetReceiver), BusError> {
-        let compiled = Arc::new(CompiledPredicate::compile(pred)?);
-        self.subscribe_entry(filter, Some(compiled))
-    }
-
-    fn subscribe_entry(
-        &self,
-        filter: &str,
-        pred: Option<Arc<CompiledPredicate>>,
-    ) -> Result<(SubscriptionHandle, NetReceiver), BusError> {
-        // Semantic expansion: one call may materialize sibling
-        // subscriptions on every synonym/broadening of the filter.
-        let expanded: Vec<String> = match &self.inner.semantic {
-            Some(m) => m.expand_filter(filter),
-            None => vec![filter.to_owned()],
-        };
-        let mut parsed = Vec::with_capacity(expanded.len());
-        for f in &expanded {
-            parsed.push(SubjectFilter::new(f)?);
-        }
         let now = self.inner.clock.now_us();
-        let mut engine = poisoned(self.inner.engine.lock());
-        let (tx, rx) = sub_queue(self.inner.queue_cap, Arc::clone(&self.inner.queue_dropped));
-        let mut add: Vec<AnnounceEntry> = Vec::new();
-        let mut ids = Vec::with_capacity(parsed.len());
-        {
-            let mut trie = poisoned(self.inner.trie.write());
-            for (f, text) in parsed.iter().zip(&expanded) {
-                let before = announced_pred_state(&trie, text);
-                ids.push(trie.insert(
-                    f,
-                    SubEntry {
-                        tx: tx.clone(),
-                        since: now,
-                        filter: text.clone(),
-                        pred: pred.clone(),
-                    },
-                ));
-                // Announce new filters, and *re*-announce when a sibling
-                // changed what the filter's combined predicate says
-                // (peers replace on receipt).
-                let after = announced_pred_state(&trie, text).expect("filter just inserted");
-                if before.as_ref() != Some(&after) {
-                    add.push(AnnounceEntry {
-                        filter: text.clone(),
-                        pred: after,
-                    });
-                }
-            }
-        }
-        if !add.is_empty() {
-            let pkt = Packet::SubAnnounce {
-                host: self.inner.host,
-                full: false,
-                add,
-                remove: vec![],
-            };
-            self.inner.send_broadcast_packet(&pkt, &mut engine.stats);
-        }
-        let primary = ids[0];
-        if ids.len() > 1 {
-            self.inner
-                .filt
-                .sem_expanded
-                .fetch_add((ids.len() - 1) as u64, Ordering::Relaxed);
-            poisoned(self.inner.expansions.lock()).insert(primary, ids.split_off(1));
-        }
-        Ok((SubscriptionHandle::from_raw(primary), rx))
+        self.inner.core.subscribe(now, filter, Some(pred))
     }
 
     /// Removes a subscription (its queue closes once drained) together
@@ -533,40 +323,7 @@ impl UdpBus {
     /// no sibling subscription shares the filter, or re-announces the
     /// filter's remaining combined predicate.
     pub fn unsubscribe(&self, handle: SubscriptionHandle) {
-        let mut targets = vec![handle.raw()];
-        if let Some(extras) = poisoned(self.inner.expansions.lock()).remove(&handle.raw()) {
-            targets.extend(extras);
-        }
-        let mut engine = poisoned(self.inner.engine.lock());
-        let mut add: Vec<AnnounceEntry> = Vec::new();
-        let mut remove: Vec<String> = Vec::new();
-        {
-            let mut trie = poisoned(self.inner.trie.write());
-            for id in targets {
-                let Some(entry) = trie.remove(id) else {
-                    continue;
-                };
-                match announced_pred_state(&trie, &entry.filter) {
-                    None => remove.push(entry.filter),
-                    // A sibling remains: re-announce unconditionally (the
-                    // departing subscription may have widened or narrowed
-                    // the combined predicate; peers replace on receipt).
-                    Some(after) => add.push(AnnounceEntry {
-                        filter: entry.filter,
-                        pred: after,
-                    }),
-                }
-            }
-        }
-        if !add.is_empty() || !remove.is_empty() {
-            let pkt = Packet::SubAnnounce {
-                host: self.inner.host,
-                full: false,
-                add,
-                remove,
-            };
-            self.inner.send_broadcast_packet(&pkt, &mut engine.stats);
-        }
+        self.inner.core.unsubscribe(handle);
     }
 
     /// Publishes a value; the engine sequences it, local subscribers get
@@ -577,40 +334,8 @@ impl UdpBus {
     ///
     /// Returns [`BusError::Subject`] or [`BusError::Marshal`].
     pub fn publish(&self, subject: &str, value: &Value, qos: QoS) -> Result<usize, BusError> {
-        // Semantic layer: synonym subjects collapse to canonical form
-        // before the trie, the engine, or the wire see them.
-        let canon;
-        let subject = match self
-            .inner
-            .semantic
-            .as_ref()
-            .and_then(|m| m.canonicalize(subject))
-        {
-            Some(c) => {
-                self.inner
-                    .filt
-                    .sem_canonicalized
-                    .fetch_add(1, Ordering::Relaxed);
-                canon = c;
-                canon.as_str()
-            }
-            None => subject,
-        };
-        // Publish gate: when every matching interest — local
-        // subscriptions and peer-announced filters — carries a rejecting
-        // predicate, the publication is suppressed before it is ever
-        // marshalled, sequenced, or framed.
-        if !self.inner.publish_interest_accepts(subject, value)? {
-            return Ok(0);
-        }
-        let payload = {
-            let mut buf = self.inner.pool.take();
-            let registry = poisoned(self.inner.registry.lock());
-            wire::marshal_self_describing_into(buf.vec_mut(), value, &registry)
-                .map_err(|e| BusError::Marshal(e.to_string()))?;
-            buf.freeze()
-        };
-        self.publish_payload(subject, payload, qos, None)
+        let now = self.inner.clock.now_us();
+        self.inner.core.publish(now, subject, value, qos)
     }
 
     /// Re-publishes an already marshalled payload as a *forwarded* copy
@@ -630,49 +355,8 @@ impl UdpBus {
         qos: QoS,
         route: Option<RouteStamp>,
     ) -> Result<usize, BusError> {
-        let n = self.publish_payload(subject, payload, qos, route)?;
-        poisoned(self.inner.engine.lock()).stats.router_forwarded += 1;
-        Ok(n)
-    }
-
-    /// The shared publish tail: sequence, persist (guaranteed), fan out
-    /// locally (unless local echo is suppressed), and transmit.
-    fn publish_payload(
-        &self,
-        subject: &str,
-        payload: Bytes,
-        qos: QoS,
-        route: Option<RouteStamp>,
-    ) -> Result<usize, BusError> {
         let now = self.inner.clock.now_us();
-        let mut engine = poisoned(self.inner.engine.lock());
-        let subject = engine.table().intern(subject)?;
-        let source = if route.is_some() {
-            &PubSource {
-                app: Arc::clone(&self.inner.source.app),
-                inc: self.inner.source.inc,
-                route,
-            }
-        } else {
-            &self.inner.source
-        };
-        let (env, pre) = engine.publish(now, source, &subject, qos, EnvelopeKind::Data, 0, payload);
-        // Pre-actions (persist-before-broadcast for guaranteed QoS).
-        self.inner.run_engine_actions(&mut engine, now, pre);
-        let (delivered, suppressed) = if self.inner.no_local_echo {
-            (0, 0)
-        } else {
-            self.inner.fan_out(&mut engine.stats, &env)
-        };
-        // A predicate rejection counts as consumption: the subscriber
-        // saw and declined the envelope, so guaranteed delivery
-        // completes instead of retrying forever.
-        if qos == QoS::Guaranteed && delivered + suppressed > 0 {
-            engine.gd_local_done(&env);
-        }
-        let actions = engine.enqueue(&env);
-        self.inner.run_engine_actions(&mut engine, now, actions);
-        Ok(delivered)
+        self.inner.core.forward(now, subject, payload, qos, route)
     }
 
     /// A snapshot of every subscription filter announced by peers on
@@ -680,12 +364,7 @@ impl UdpBus {
     /// information router summarizes into remote interest for its other
     /// foot.
     pub fn peer_filters(&self) -> Vec<String> {
-        let peer_subs = poisoned(self.inner.peer_subs.lock());
-        let mut set: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        for filters in peer_subs.values() {
-            set.extend(filters.keys().cloned());
-        }
-        set.into_iter().collect()
+        self.inner.core.peer_filters()
     }
 
     /// A snapshot of the protocol counters merged across every shard,
@@ -699,33 +378,20 @@ impl UdpBus {
     /// merged view carries the subscriber-queue gauges, which are not
     /// attributable to a single shard).
     pub fn sharded_stats(&self) -> ShardedStats {
-        let mut stats = poisoned(self.inner.engine.lock()).sharded_stats();
-        let trie = poisoned(self.inner.trie.read());
-        let mut depth = 0u64;
-        trie.for_each(|_, _, e| depth += e.tx.queued() as u64);
-        stats.merged.sub_queue_depth = depth;
-        stats.merged.sub_queue_dropped = self.inner.queue_dropped.load(Ordering::Relaxed);
-        self.inner.filt.fold_into(&mut stats.merged);
-        poisoned(self.inner.nv.lock()).stamp_stats(&mut stats.merged);
-        stats
+        self.inner.core.sharded_stats()
     }
 
-    /// Stops the reader thread and closes the socket. Also runs on drop.
-    pub fn close(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.inner.running.store(false, Ordering::SeqCst);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stops the reader thread and closes the socket — what dropping the
+    /// bus does, by name.
+    pub fn close(self) {}
 }
 
 impl Drop for UdpBus {
     fn drop(&mut self) {
-        self.shutdown();
+        self.inner.running.store(false, Ordering::SeqCst);
+        if let Some(h) = self.reader.take() {
+            let _ = h.join();
+        }
     }
 }
 
@@ -762,260 +428,29 @@ impl Bus for UdpBus {
 }
 
 impl Inner {
-    // ----- socket send path -------------------------------------------------
-
-    /// Sends one datagram with bounded retry and doubling backoff.
-    /// Transient errors count `net_send_retries`; exhaustion (or an
-    /// oversized frame) counts `net_send_errors` — guaranteed delivery
-    /// recovers via its retry rounds, reliable delivery via NAKs.
-    fn send_datagram(&self, addr: SocketAddr, bytes: &[u8], stats: &mut BusStats) {
-        let mut backoff = self.send_backoff_us;
-        for attempt in 0..=self.send_retries {
-            match self.socket.send_to(bytes, addr) {
-                Ok(n) => {
-                    stats.net_tx_packets += 1;
-                    stats.net_tx_bytes += n as u64;
-                    return;
-                }
-                Err(_) if attempt < self.send_retries => {
-                    stats.net_send_retries += 1;
-                    std::thread::sleep(Duration::from_micros(backoff));
-                    backoff = backoff.saturating_mul(2);
-                }
-                Err(_) => stats.net_send_errors += 1,
-            }
-        }
-    }
-
-    /// Broadcasts a packet: one datagram to the multicast group, or one
-    /// per known peer in the loopback fallback.
-    fn send_broadcast_packet(&self, packet: &Packet, stats: &mut BusStats) {
-        let bytes = encode_frame(self.host, packet);
-        if let Some(group) = self.multicast {
-            self.send_datagram(SocketAddr::V4(group), &bytes, stats);
-            return;
-        }
-        let peers: Vec<SocketAddr> = poisoned(self.peers.read()).values().copied().collect();
-        for addr in peers {
-            self.send_datagram(addr, &bytes, stats);
-        }
-    }
-
-    /// Frames and sends one packet to one address.
-    fn send_packet_to(&self, addr: SocketAddr, packet: &Packet, stats: &mut BusStats) {
-        let bytes = encode_frame(self.host, packet);
-        self.send_datagram(addr, &bytes, stats);
-    }
-
-    /// A full `SubAnnounce` of every locally subscribed filter, each
-    /// with its combined announced predicate.
-    fn full_announce(&self) -> Packet {
-        let trie = poisoned(self.trie.read());
-        let mut filters = BTreeSet::new();
-        trie.for_each(|_, _, e| {
-            filters.insert(e.filter.clone());
-        });
-        let add = filters
-            .into_iter()
-            .map(|f| {
-                let pred = announced_pred_state(&trie, &f).unwrap_or_default();
-                AnnounceEntry { filter: f, pred }
-            })
-            .collect();
-        Packet::SubAnnounce {
-            host: self.host,
-            full: true,
-            add,
-            remove: vec![],
-        }
-    }
-
-    /// The publisher-side content gate: `false` means every matching
-    /// interest (local subscription or peer-announced filter) carries a
-    /// rejecting predicate — the publication is suppressed. Zero
-    /// matching interest sends (remote daemons filter cheaply anyway).
-    fn publish_interest_accepts(&self, subject: &str, value: &Value) -> Result<bool, BusError> {
-        let subject = Subject::new(subject)?;
-        let mut evals = 0u64;
-        let mut matched_any = false;
-        let mut accept = false;
-        {
-            let trie = poisoned(self.trie.read());
-            for (_, e) in trie.matches(&subject) {
-                matched_any = true;
-                match &e.pred {
-                    None => {
-                        accept = true;
-                        break;
-                    }
-                    Some(p) => {
-                        evals += 1;
-                        if p.eval(value) {
-                            accept = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if !accept {
-            let peer_subs = poisoned(self.peer_subs.lock());
-            'peers: for table in peer_subs.values() {
-                for pf in table.values() {
-                    if !pf.filter.matches(&subject) {
-                        continue;
-                    }
-                    matched_any = true;
-                    match &pf.pred {
-                        None => {
-                            accept = true;
-                            break 'peers;
-                        }
-                        Some(p) => {
-                            evals += 1;
-                            if p.eval(value) {
-                                accept = true;
-                                break 'peers;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let send = accept || !matched_any;
-        self.filt
-            .record_publish_gate(evals, send, approx_wire_bytes(value));
-        Ok(send)
-    }
-
-    // ----- engine plumbing --------------------------------------------------
-
-    /// Performs a batch of shard-tagged engine actions; reports
-    /// guaranteed local deliveries back to the engine. Returns local
-    /// deliveries made.
-    fn run_engine_actions(
-        &self,
-        engine: &mut ShardedEngine,
-        now: Micros,
-        actions: Vec<(ShardId, Action)>,
-    ) -> usize {
-        if actions.is_empty() {
-            return 0;
-        }
-        let mut t = UdpTransport {
-            inner: self,
-            now,
-            stats: &mut engine.stats,
-            gd_done: Vec::new(),
-            delivered: 0,
-        };
-        run_sharded_actions(actions, &mut t);
-        let UdpTransport {
-            gd_done, delivered, ..
-        } = t;
-        for env in &gd_done {
-            engine.gd_local_done(env);
-        }
-        delivered
-    }
-
-    /// Hands an envelope to every matching subscriber queue. Subject and
-    /// payload are shared handles — fan-out copies no bytes. Returns
-    /// `(delivered, suppressed)`: predicated subscriptions whose
-    /// predicate rejects the payload are skipped (and, for guaranteed
-    /// QoS, still count as consumption). The payload is unmarshalled at
-    /// most once, and only when a predicated subscription matches; a
-    /// payload that fails to unmarshal delivers unconditionally.
-    fn fan_out(&self, stats: &mut BusStats, env: &Envelope) -> (usize, usize) {
-        let trie = poisoned(self.trie.read());
-        let mut count = 0usize;
-        let mut suppressed = 0usize;
-        let mut value: Option<Option<Value>> = None;
-        for (_, entry) in trie.matches(&env.subject) {
-            if let Some(p) = &entry.pred {
-                let v = value.get_or_insert_with(|| {
-                    let mut registry = poisoned(self.registry.lock());
-                    wire::unmarshal(&env.payload, &mut registry).ok()
-                });
-                if let Some(v) = v {
-                    self.filt.evals.fetch_add(1, Ordering::Relaxed);
-                    if !p.eval(v) {
-                        suppressed += 1;
-                        self.filt
-                            .delivery_suppressed
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.filt
-                            .suppressed_bytes
-                            .fetch_add(env.payload.len() as u64, Ordering::Relaxed);
-                        continue;
-                    }
-                }
-            }
-            let msg = NetMessage {
-                subject: env.subject.clone(),
-                payload: env.payload.clone(),
-                redelivery: env.redelivery,
-                qos: env.qos,
-                route: env.route,
-            };
-            if entry.tx.send(msg).is_ok() {
-                count += 1;
-            }
-        }
-        stats.delivered += count as u64;
-        stats.delivered_bytes += (env.payload.len() * count) as u64;
-        (count, suppressed)
-    }
-
-    /// Creation time of the earliest local subscription matching
-    /// `subject` (the first-contact entitlement input).
-    fn earliest_matching_sub(&self, subject: &Subject) -> Option<Micros> {
-        let trie = poisoned(self.trie.read());
-        trie.matches(subject).map(|(_, e)| e.since).min()
-    }
-
-    /// Per-subject interested hosts for a guaranteed-delivery retry
-    /// round, from announced remote tables. Local interest is handled
-    /// via [`ShardedEngine::gd_local_done`], so self is excluded. The
-    /// interest map spans every shard's ledger; each shard only
-    /// consults the subjects its own slice holds.
-    fn gd_interest(&self, engine: &ShardedEngine) -> HashMap<String, Vec<u32>> {
-        let peer_subs = poisoned(self.peer_subs.lock());
-        let mut interest = HashMap::new();
-        for text in engine.gd_subjects() {
-            let Ok(subject) = Subject::new(&text) else {
-                // Absent from the map = invalid subject; the engine
-                // completes those entries.
-                continue;
-            };
-            let hosts: Vec<u32> = peer_subs
-                .iter()
-                .filter(|(_, filters)| filters.values().any(|pf| pf.filter.matches(&subject)))
-                .map(|(&h, _)| h)
-                .collect();
-            interest.insert(text, hosts);
-        }
-        interest
-    }
-
-    // ----- reader thread ----------------------------------------------------
-
+    /// The reader thread: park in `recv` until the next engine deadline
+    /// (at most [`READ_SLICE`]), hand the datagram to the core, fire
+    /// whatever came due.
     fn read_loop(&self) {
+        let socket = &self.core.sink().socket;
         let mut buf = vec![0u8; 64 * 1024];
-        let mut loss = LossRng::new(self.loss_seed);
+        let mut loss = self.core.loss_rng();
         while self.running.load(Ordering::SeqCst) {
             let wait = {
                 let now = self.clock.now_us();
-                match poisoned(self.timers.lock()).next_deadline() {
+                match self.core.next_deadline() {
                     Some(at) => Duration::from_micros(at.saturating_sub(now)).min(READ_SLICE),
                     None => READ_SLICE,
                 }
             };
-            let _ = self
-                .socket
-                .set_read_timeout(Some(wait.max(Duration::from_micros(100))));
-            match self.socket.recv_from(&mut buf) {
-                Ok((n, src)) => self.on_datagram(src, &buf[..n], &mut loss),
+            let _ = socket.set_read_timeout(Some(wait.max(Duration::from_micros(100))));
+            match socket.recv_from(&mut buf) {
+                Ok((n, src)) => {
+                    if !self.core.recv_lost(&mut loss) {
+                        self.core
+                            .on_peer_datagram(self.clock.now_us(), src, &buf[..n]);
+                    }
+                }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut => {}
@@ -1024,346 +459,7 @@ impl Inner {
                 // spin, don't die.
                 Err(_) => std::thread::sleep(Duration::from_millis(1)),
             }
-            self.fire_due_timers();
-            self.fire_resync();
-        }
-    }
-
-    /// Periodic soft-state refresh ([`BusConfig::announce_period_us`]):
-    /// re-broadcasts `SubResync` plus the full local announce, exactly
-    /// like the simulated daemon's announce timer. Without it a single
-    /// lost announcement packet can wedge guaranteed-delivery interest
-    /// forever — e.g. a restarted durable publisher whose bind-time
-    /// resync was dropped would never learn who wants its replayed
-    /// ledger. Only the reader thread writes `next_announce`.
-    fn fire_resync(&self) {
-        if self.announce_us == 0 {
-            return;
-        }
-        let now = self.clock.now_us();
-        if now < self.next_announce.load(Ordering::Relaxed) {
-            return;
-        }
-        self.next_announce
-            .store(now + self.announce_us, Ordering::Relaxed);
-        let mut engine = poisoned(self.engine.lock());
-        let host = self.host;
-        self.send_broadcast_packet(&Packet::SubResync { host }, &mut engine.stats);
-        let announce = self.full_announce();
-        self.send_broadcast_packet(&announce, &mut engine.stats);
-    }
-
-    fn fire_due_timers(&self) {
-        let now = self.clock.now_us();
-        let due = poisoned(self.timers.lock()).expired(now);
-        if due.is_empty() {
-            return;
-        }
-        let mut engine = poisoned(self.engine.lock());
-        for (shard, kind) in due {
-            let actions = match kind {
-                TimerKind::GdRetry => {
-                    let interest = self.gd_interest(&engine);
-                    engine.handle_gd_retry(now, shard, interest)
-                }
-                other => engine.handle_timer(now, shard, other),
-            };
-            self.run_engine_actions(&mut engine, now, actions);
-        }
-    }
-
-    fn on_datagram(&self, src: SocketAddr, datagram: &[u8], loss: &mut LossRng) {
-        let now = self.clock.now_us();
-        let mut engine = poisoned(self.engine.lock());
-        if self.recv_loss > 0.0 && loss.gen_f64() < self.recv_loss {
-            engine.stats.net_recv_dropped += 1;
-            return;
-        }
-        // Decoding interns wire subjects into the daemon's table.
-        let (from_host, packet) = match decode_frame(datagram, engine.table()) {
-            Ok(x) => x,
-            Err(_) => {
-                engine.stats.net_decode_errors += 1;
-                return;
-            }
-        };
-        if from_host == self.host {
-            // Our own multicast loopback.
-            return;
-        }
-        engine.stats.net_rx_packets += 1;
-        engine.stats.net_rx_bytes += datagram.len() as u64;
-        // Address learning: any frame teaches us where its sender lives.
-        poisoned(self.peers.write()).insert(from_host, src);
-        match packet {
-            Packet::Data { envelopes, .. } => {
-                for env in envelopes {
-                    if env.stream.host == self.host {
-                        continue;
-                    }
-                    let Some(sub_at) = self.earliest_matching_sub(&env.subject) else {
-                        // Cheap filtering at the daemon boundary, as in
-                        // the paper: nothing local matches.
-                        engine.stats.filtered += 1;
-                        continue;
-                    };
-                    let entitled = env.stream_start >= sub_at;
-                    let actions = engine.handle(now, Event::Envelope { env, entitled });
-                    self.run_engine_actions(&mut engine, now, actions);
-                }
-            }
-            Packet::Nak {
-                stream,
-                subject,
-                requester,
-                missing,
-            } => {
-                let actions = engine.handle(
-                    now,
-                    Event::Nak {
-                        stream,
-                        subject,
-                        requester,
-                        missing,
-                    },
-                );
-                self.run_engine_actions(&mut engine, now, actions);
-            }
-            Packet::GapSkip {
-                stream,
-                subject,
-                through,
-            } => {
-                let actions = engine.handle(
-                    now,
-                    Event::GapSkip {
-                        stream,
-                        subject,
-                        through,
-                    },
-                );
-                self.run_engine_actions(&mut engine, now, actions);
-            }
-            Packet::Ack {
-                stream,
-                subject,
-                seq,
-                from_host,
-            } => {
-                let actions = engine.handle(
-                    now,
-                    Event::Ack {
-                        stream,
-                        subject,
-                        seq,
-                        from_host,
-                    },
-                );
-                self.run_engine_actions(&mut engine, now, actions);
-            }
-            Packet::SeqSync { entries } => {
-                for entry in entries {
-                    if entry.stream.host == self.host {
-                        continue;
-                    }
-                    let sub_at = self.earliest_matching_sub(&entry.subject);
-                    let actions = engine.handle(now, Event::Digest { entry, sub_at });
-                    self.run_engine_actions(&mut engine, now, actions);
-                }
-            }
-            Packet::SubAnnounce {
-                host,
-                full,
-                add,
-                remove,
-            } => {
-                let mut peer_subs = poisoned(self.peer_subs.lock());
-                let table = peer_subs.entry(host).or_default();
-                if full {
-                    table.clear();
-                }
-                for e in add {
-                    if let Ok(f) = SubjectFilter::new(&e.filter) {
-                        // A malformed predicate decodes to unfiltered —
-                        // the direction that can only over-deliver.
-                        let pred = if e.pred.is_empty() {
-                            None
-                        } else {
-                            CompiledPredicate::from_bytes(&e.pred).ok().map(Arc::new)
-                        };
-                        table.insert(e.filter, PeerFilter { filter: f, pred });
-                    }
-                }
-                for text in remove {
-                    table.remove(&text);
-                }
-            }
-            Packet::SubResync { .. } => {
-                let announce = self.full_announce();
-                self.send_packet_to(src, &announce, &mut engine.stats);
-            }
-        }
-    }
-}
-
-/// The [`Transport`] the UDP bus hands to [`run_sharded_actions`]:
-/// performs engine actions against the socket, the timer wheel, the
-/// ledger map, and the subscriber queues.
-struct UdpTransport<'a> {
-    inner: &'a Inner,
-    now: Micros,
-    stats: &'a mut BusStats,
-    /// Guaranteed envelopes locally delivered during this batch, to be
-    /// reported back via [`ShardedEngine::gd_local_done`] once the
-    /// borrow ends.
-    gd_done: Vec<Envelope>,
-    delivered: usize,
-}
-
-impl Transport for UdpTransport<'_> {
-    fn broadcast(&mut self, packet: Packet) {
-        self.inner.send_broadcast_packet(&packet, self.stats);
-    }
-
-    fn unicast(&mut self, host: u32, packet: Packet) {
-        let addr = poisoned(self.inner.peers.read()).get(&host).copied();
-        match addr {
-            Some(addr) => self.inner.send_packet_to(addr, &packet, self.stats),
-            // An unknown peer (never heard from, not configured): the
-            // datagram has nowhere to go.
-            None => self.stats.net_send_errors += 1,
-        }
-    }
-
-    fn set_timer(&mut self, delay_us: Micros, timer: TimerKind) {
-        // Untagged fallback: attribute the deadline to shard 0 (only
-        // reachable when actions bypass the shard router).
-        poisoned(self.inner.timers.lock()).arm(self.now + delay_us, 0, timer);
-    }
-
-    fn deliver(&mut self, env: Envelope) {
-        // Control envelopes (RMI, discovery) need co-resident protocol
-        // handlers this driver does not host yet; only data fans out.
-        if env.kind == EnvelopeKind::Data {
-            self.delivered += self.inner.fan_out(self.stats, &env).0;
-        }
-    }
-
-    fn deliver_gd(&mut self, env: Envelope) {
-        let (delivered, suppressed) = self.inner.fan_out(self.stats, &env);
-        if delivered + suppressed > 0 {
-            self.gd_done.push(env);
-        }
-    }
-
-    fn persist(&mut self, key: String, bytes: Vec<u8>) {
-        // Untagged fallback, like `set_timer` (only reachable when
-        // actions bypass the shard router).
-        poisoned(self.inner.nv.lock()).persist(0, &key, &bytes);
-    }
-
-    fn unpersist(&mut self, key: &str) {
-        poisoned(self.inner.nv.lock()).unpersist(0, key);
-    }
-}
-
-impl ShardTransport for UdpTransport<'_> {
-    fn set_shard_timer(&mut self, shard: ShardId, delay_us: Micros, timer: TimerKind) {
-        poisoned(self.inner.timers.lock()).arm(self.now + delay_us, shard, timer);
-    }
-
-    fn persist_shard(&mut self, shard: ShardId, key: String, bytes: Vec<u8>) {
-        poisoned(self.inner.nv.lock()).persist(shard, &key, &bytes);
-    }
-
-    fn unpersist_shard(&mut self, shard: ShardId, key: &str) {
-        poisoned(self.inner.nv.lock()).unpersist(shard, key);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn fast_cfg() -> BusConfig {
-        BusConfig::default()
-            .with_batch_enabled(false)
-            .with_nak_delay_us(2_000)
-            .with_nak_check_us(1_000)
-            .with_sync_period_us(10_000)
-            .with_gd_retry_us(10_000)
-    }
-
-    fn pair() -> (UdpBus, UdpBus) {
-        let a = UdpBus::bind(UdpConfig::new(1).with_bus(fast_cfg()).with_app("a")).unwrap();
-        let b = UdpBus::bind(UdpConfig::new(2).with_bus(fast_cfg()).with_app("b")).unwrap();
-        a.add_peer(2, b.local_addr()).unwrap();
-        b.add_peer(1, a.local_addr()).unwrap();
-        (a, b)
-    }
-
-    #[test]
-    fn pub_sub_round_trip() {
-        let (a, b) = pair();
-        let (_sub, rx) = b.subscribe("t.>").unwrap();
-        for i in 0..50i64 {
-            a.publish("t.x", &Value::I64(i), QoS::Reliable).unwrap();
-        }
-        for i in 0..50i64 {
-            let msg = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-            assert_eq!(msg.subject, "t.x");
-            assert_eq!(msg.value().unwrap(), Value::I64(i));
-        }
-        let stats = b.stats();
-        assert!(stats.net_rx_packets > 0);
-        assert_eq!(stats.net_decode_errors, 0);
-    }
-
-    #[test]
-    fn unsubscribe_stops_delivery_and_filters() {
-        let (a, b) = pair();
-        let (sub, rx) = b.subscribe("u.x").unwrap();
-        a.publish("u.x", &Value::I64(1), QoS::Reliable).unwrap();
-        rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        b.unsubscribe(sub);
-        a.publish("u.x", &Value::I64(2), QoS::Reliable).unwrap();
-        // Datagram processing is asynchronous to this thread (and idle
-        // reader wake-ups can be arbitrarily coarse on tickless single-CPU
-        // kernels), so poll for the filter counter rather than assuming a
-        // fixed window.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while b.stats().filtered == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "publication after unsubscribe was never filtered"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // The filtered counter proves the datagram arrived and matched no
-        // subscription; nothing may have reached the closed queue.
-        assert!(rx.try_recv().is_err());
-    }
-
-    #[test]
-    fn garbage_datagrams_are_counted_not_fatal() {
-        let (a, b) = pair();
-        let (_sub, rx) = b.subscribe("g.>").unwrap();
-        let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
-        probe
-            .send_to(b"definitely not a frame", b.local_addr())
-            .unwrap();
-        probe.send_to(&[0xff; 300], b.local_addr()).unwrap();
-        a.publish("g.ok", &Value::I64(1), QoS::Reliable).unwrap();
-        let msg = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(msg.value().unwrap(), Value::I64(1));
-        // Counter flushes are asynchronous to recv; poll briefly.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while b.stats().net_decode_errors < 2 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "decode errors never counted"
-            );
-            std::thread::sleep(Duration::from_millis(5));
+            self.core.tick(self.clock.now_us());
         }
     }
 }

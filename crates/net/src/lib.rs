@@ -64,6 +64,7 @@
 
 pub mod bus;
 pub mod clock;
+pub mod driver;
 pub mod frame;
 pub mod loss;
 pub mod router;

@@ -73,7 +73,10 @@ fn lossless_in_order_exactly_once() {
             .unwrap();
     }
     assert_in_order(&rx, 200, Duration::from_secs(20));
-    assert_eq!(b.stats().dups_dropped, 0);
+    let stats = b.stats();
+    assert_eq!(stats.dups_dropped, 0);
+    assert!(stats.net_rx_packets > 0);
+    assert_eq!(stats.net_decode_errors, 0);
 }
 
 #[test]
