@@ -87,15 +87,6 @@ pub struct BusConfig {
     /// so a stalled consumer can no longer grow memory without bound.
     /// `0` (the default) keeps queues unbounded.
     pub subscriber_queue_cap: usize,
-    /// Number of independent engine shards behind the daemon. Subjects
-    /// are routed to a shard by a stable hash of their first segment
-    /// (see [`shard_of_subject`](crate::engine::sharded::shard_of_subject)),
-    /// so every (publisher, subject) stream lives entirely inside one
-    /// shard and per-sender-per-subject ordering is preserved. `1` (the
-    /// default) reproduces the unsharded daemon byte-for-byte; values
-    /// `> 1` let independent subjects stop contending on one state
-    /// machine. `0` is treated as `1`.
-    pub shards: usize,
     /// Edge-tier session supervision: how long a thin-client session may
     /// go without *any* frame (heartbeat, ack, publish…) before the
     /// session broker evicts it. Defaults to `3_000_000` (3 s) — three
@@ -125,9 +116,9 @@ pub struct BusConfig {
     /// default) keeps the persist map in memory — guaranteed delivery
     /// then survives engine restarts but not process death. When set,
     /// wall-clock drivers write every `Persist`/`Unpersist` action
-    /// through a per-shard write-ahead ledger under
-    /// `<durable_dir>/shard-<n>` and replay it at start-up (see
-    /// `infobus-wal`).
+    /// through one write-ahead ledger under `<durable_dir>/shard-0` and
+    /// replay it at start-up (see `infobus-wal` and
+    /// [`NvStore`](crate::NvStore)).
     pub durable_dir: Option<PathBuf>,
     /// Rotation threshold of one ledger segment file, in bytes.
     /// Defaults to 1 MiB.
@@ -171,7 +162,6 @@ impl Default for BusConfig {
             discovery_window_us: 50_000,
             stats_period_us: 0,
             subscriber_queue_cap: 0,
-            shards: 1,
             session_timeout_us: 3_000_000,
             heartbeat_period_us: 1_000_000,
             session_cursor_lag: 64,
@@ -346,14 +336,6 @@ impl BusConfig {
         self
     }
 
-    /// Sets the number of engine shards (`1` = the unsharded daemon,
-    /// byte-identical to the paper-figure configurations; `0` is treated
-    /// as `1`).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Sets how long a thin-client session may stay silent before the
     /// edge session broker evicts it.
     pub fn with_session_timeout_us(mut self, us: Micros) -> Self {
@@ -390,7 +372,7 @@ impl BusConfig {
         self
     }
 
-    /// Sets the durable guaranteed-delivery ledger directory (per-shard
+    /// Sets the durable guaranteed-delivery ledger directory (the
     /// write-ahead segments live under it).
     pub fn with_durable_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.durable_dir = Some(dir.into());
@@ -455,7 +437,6 @@ mod tests {
             .with_discovery_window_us(12)
             .with_stats_period_us(13)
             .with_subscriber_queue_cap(14)
-            .with_shards(15)
             .with_session_timeout_us(16)
             .with_heartbeat_period_us(17)
             .with_session_cursor_lag(18)
@@ -470,7 +451,6 @@ mod tests {
         assert_eq!(cfg.rmi_max_attempts, 8);
         assert_eq!(cfg.stats_period_us, 13);
         assert_eq!(cfg.subscriber_queue_cap, 14);
-        assert_eq!(cfg.shards, 15);
         assert_eq!(cfg.session_timeout_us, 16);
         assert_eq!(cfg.heartbeat_period_us, 17);
         assert_eq!(cfg.session_cursor_lag, 18);
@@ -486,7 +466,6 @@ mod tests {
         assert_eq!(BusConfig::default().durable_mem_bytes, 1 << 20);
         assert_eq!(BusConfig::default().stats_period_us, 0);
         assert_eq!(BusConfig::default().subscriber_queue_cap, 0);
-        assert_eq!(BusConfig::default().shards, 1);
         assert_eq!(BusConfig::default().session_timeout_us, 3_000_000);
         assert_eq!(BusConfig::default().heartbeat_period_us, 1_000_000);
         assert_eq!(BusConfig::default().session_cursor_lag, 64);

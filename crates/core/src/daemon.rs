@@ -30,8 +30,8 @@ use crate::apps::{AppEvent, AppMeta, AppQueue, AppSlot, TimerTarget};
 use crate::calls::{CallPhase, CallState, SvcMeta};
 use crate::config::BusConfig;
 use crate::engine::{
-    run_sharded_actions, Action, BusStats, Event, Micros, PubSource, ShardId, ShardTransport,
-    ShardedEngine, ShardedStats, TimerKind, Transport, STATS_SUBJECT_PREFIX,
+    run_actions, Action, BusStats, Engine, Event, Micros, PubSource, TimerKind, Transport,
+    STATS_SUBJECT_PREFIX,
 };
 use crate::envelope::{Envelope, EnvelopeKind};
 use crate::interest::SubTarget;
@@ -56,37 +56,36 @@ pub(crate) const TOK_RT_SUMMARY: u64 = 8;
 pub(crate) const TOK_RT_STAB: u64 = 9;
 /// Dynamic timer tokens start here.
 const TOK_DYN: u64 = 10;
-/// Shard-tagged engine timers start here: token =
-/// `TOK_SHARD_BASE + shard * 4 + kind`. The base sits far above any
-/// dynamic token a simulation could allocate (they increment from
-/// [`TOK_DYN`]), so the ranges cannot collide.
-const TOK_SHARD_BASE: u64 = 1 << 32;
+/// Engine timers take the four tokens from here: token =
+/// `TOK_ENGINE_BASE + kind`. The base sits far above any dynamic token a
+/// simulation could allocate (they increment from [`TOK_DYN`]), so the
+/// ranges cannot collide.
+const TOK_ENGINE_BASE: u64 = 1 << 32;
 
 /// The publisher slot used for daemon-originated publications (stats
 /// snapshots): not a real application index.
 const APP_STATS: usize = usize::MAX - 1;
 
-/// Maps a shard's engine timer onto this driver's simulator timer token.
-fn shard_token(shard: ShardId, kind: TimerKind) -> u64 {
+/// Maps an engine timer onto this driver's simulator timer token.
+fn engine_token(kind: TimerKind) -> u64 {
     let k = match kind {
         TimerKind::Batch => 0,
         TimerKind::NakScan => 1,
         TimerKind::GdRetry => 2,
         TimerKind::Sync => 3,
     };
-    TOK_SHARD_BASE + shard as u64 * 4 + k
+    TOK_ENGINE_BASE + k
 }
 
-/// Inverse of [`shard_token`]; `None` for non-engine tokens.
-fn decode_shard_token(token: u64) -> Option<(ShardId, TimerKind)> {
-    let off = token.checked_sub(TOK_SHARD_BASE)?;
-    let kind = match off % 4 {
-        0 => TimerKind::Batch,
-        1 => TimerKind::NakScan,
-        2 => TimerKind::GdRetry,
-        _ => TimerKind::Sync,
-    };
-    Some(((off / 4) as ShardId, kind))
+/// Inverse of [`engine_token`]; `None` for non-engine tokens.
+fn decode_engine_token(token: u64) -> Option<TimerKind> {
+    match token.checked_sub(TOK_ENGINE_BASE)? {
+        0 => Some(TimerKind::Batch),
+        1 => Some(TimerKind::NakScan),
+        2 => Some(TimerKind::GdRetry),
+        3 => Some(TimerKind::Sync),
+        _ => None,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -94,10 +93,8 @@ fn decode_shard_token(token: u64) -> Option<(ShardId, TimerKind)> {
 // ---------------------------------------------------------------------------
 
 pub(crate) struct DaemonState {
-    /// The sans-I/O protocol engine this daemon drives — sharded by the
-    /// subject's first segment ([`BusConfig::shards`] instances; one by
-    /// default).
-    pub(crate) engine: ShardedEngine,
+    /// The sans-I/O protocol engine this daemon drives.
+    pub(crate) engine: Engine,
     pub(crate) host32: u32,
     pub(crate) seg0: Option<SegmentId>,
     pub(crate) registry: Rc<RefCell<TypeRegistry>>,
@@ -196,7 +193,7 @@ impl DaemonState {
             .is_some()
             .then(|| NvStore::open(&cfg).expect("open guaranteed-delivery ledger mirror"));
         DaemonState {
-            engine: ShardedEngine::new(cfg, 0),
+            engine: Engine::new(cfg, 0),
             nv_mirror,
             host32: 0,
             seg0: None,
@@ -241,14 +238,13 @@ impl DaemonState {
 
     // ----- engine plumbing ----------------------------------------------------
 
-    /// Performs a batch of shard-tagged engine actions against the
-    /// simulated network.
-    pub(crate) fn apply(&mut self, net: &mut Ctx<'_>, actions: Vec<(ShardId, Action)>) {
+    /// Performs a batch of engine actions against the simulated network.
+    pub(crate) fn apply(&mut self, net: &mut Ctx<'_>, actions: Vec<Action>) {
         if actions.is_empty() {
             return;
         }
         let mut transport = DaemonTransport { d: self, net };
-        run_sharded_actions(actions, &mut transport);
+        run_actions(actions, &mut transport);
     }
 
     // ----- packet transmission ------------------------------------------------
@@ -533,10 +529,8 @@ impl DaemonState {
     }
 
     /// Snapshot of per-subject remote interest for the pending guaranteed
-    /// envelopes, fed to one shard's retry round. The interest map covers
-    /// the union of every shard's pending subjects (each shard only
-    /// consults the subjects its own ledger slice holds).
-    fn gd_retry_round(&mut self, net: &mut Ctx<'_>, shard: ShardId) {
+    /// envelopes, fed to the engine's retry round.
+    fn gd_retry_round(&mut self, net: &mut Ctx<'_>) {
         let mut interest: HashMap<String, Vec<u32>> = HashMap::new();
         for s in self.engine.gd_subjects() {
             let Ok(subject) = Subject::new(&s) else {
@@ -546,7 +540,7 @@ impl DaemonState {
             };
             interest.insert(s, self.peer_subs.interested_hosts(&subject));
         }
-        let actions = self.engine.handle_gd_retry(net.now(), shard, interest);
+        let actions = self.engine.handle(net.now(), Event::GdRetry { interest });
         self.apply(net, actions);
     }
 
@@ -582,8 +576,7 @@ impl DaemonState {
     fn publish_stats(&mut self, net: &mut Ctx<'_>) {
         let host = Self::subject_element(&net.host_name());
         let daemon = self.stats_daemon_name();
-        // The published snapshot fans the shards in: one merged object.
-        let mut stats = self.engine.merged_stats();
+        let mut stats = self.engine.stats.clone();
         self.stamp_route_stats(&mut stats);
         let obj = stats.to_object(&host, &daemon, net.now());
         let text = format!("{STATS_SUBJECT_PREFIX}.{host}.{daemon}");
@@ -619,9 +612,7 @@ impl Transport for DaemonTransport<'_, '_> {
     }
 
     fn set_timer(&mut self, delay_us: Micros, timer: TimerKind) {
-        // Untagged fallback: attribute to shard 0 (only correct when
-        // unsharded; the sharded path below is what apply() uses).
-        self.net.set_timer(delay_us, shard_token(0, timer));
+        self.net.set_timer(delay_us, engine_token(timer));
     }
 
     fn deliver(&mut self, env: Envelope) {
@@ -651,26 +642,6 @@ impl Transport for DaemonTransport<'_, '_> {
     }
 }
 
-impl ShardTransport for DaemonTransport<'_, '_> {
-    fn set_shard_timer(&mut self, shard: ShardId, delay_us: Micros, timer: TimerKind) {
-        self.net.set_timer(delay_us, shard_token(shard, timer));
-    }
-
-    fn persist_shard(&mut self, shard: ShardId, key: String, bytes: Vec<u8>) {
-        if let Some(nv) = &mut self.d.nv_mirror {
-            nv.persist(shard, &key, &bytes);
-        }
-        self.net.nv_put(&key, bytes);
-    }
-
-    fn unpersist_shard(&mut self, shard: ShardId, key: &str) {
-        if let Some(nv) = &mut self.d.nv_mirror {
-            nv.unpersist(shard, key);
-        }
-        self.net.nv_delete(key);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The daemon process
 // ---------------------------------------------------------------------------
@@ -678,9 +649,8 @@ impl ShardTransport for DaemonTransport<'_, '_> {
 /// The bus daemon process: one per host.
 ///
 /// Owns the local applications ([`BusApp`](crate::BusApp)) and exported services
-/// ([`ServiceObject`]); drives the protocol [`Engine`](crate::engine::Engine)
-/// (one per shard, behind a [`ShardedEngine`](crate::engine::ShardedEngine))
-/// for reliable and guaranteed delivery, and implements discovery windows,
+/// ([`ServiceObject`]); drives the protocol [`Engine`] for reliable and
+/// guaranteed delivery, and implements discovery windows,
 /// RMI, and router links on top.
 pub struct BusDaemon {
     pub(crate) state: DaemonState,
@@ -698,24 +668,13 @@ impl BusDaemon {
         }
     }
 
-    /// The daemon's protocol counters, merged across engine shards.
+    /// The daemon's protocol counters.
     pub fn stats(&self) -> BusStats {
-        let mut stats = self.state.engine.merged_stats();
+        let mut stats = self.state.engine.stats.clone();
         if let Some(nv) = &self.state.nv_mirror {
             nv.stamp_stats(&mut stats);
         }
         self.state.stamp_route_stats(&mut stats);
-        stats
-    }
-
-    /// The merged counters together with the per-shard breakdown (depth
-    /// and occupancy maxima survive only in the breakdown).
-    pub fn sharded_stats(&self) -> ShardedStats {
-        let mut stats = self.state.engine.sharded_stats();
-        if let Some(nv) = &self.state.nv_mirror {
-            nv.stamp_stats(&mut stats.merged);
-        }
-        self.state.stamp_route_stats(&mut stats.merged);
         stats
     }
 
@@ -757,16 +716,9 @@ impl Process for BusDaemon {
             cfg.sync_period_us,
             cfg.stats_period_us,
         );
-        // Each shard scans its own gaps and digests its own idle streams,
-        // so the periodic engine timers are per shard (tagged tokens).
-        let shards = self.state.engine.shard_count();
-        for shard in 0..shards {
-            ctx.set_timer(nak_check, shard_token(shard, TimerKind::NakScan));
-        }
+        ctx.set_timer(nak_check, engine_token(TimerKind::NakScan));
         ctx.set_timer(announce, TOK_ANNOUNCE);
-        for shard in 0..shards {
-            ctx.set_timer(sync, shard_token(shard, TimerKind::Sync));
-        }
+        ctx.set_timer(sync, engine_token(TimerKind::Sync));
         // The observability plane: every daemon can describe its own
         // counters, and publishes them when a stats period is configured.
         BusStats::register_type(&mut self.state.registry.borrow_mut());
@@ -818,14 +770,12 @@ impl Process for BusDaemon {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if let Some((shard, kind)) = decode_shard_token(token) {
-            if shard < self.state.engine.shard_count() {
-                match kind {
-                    TimerKind::GdRetry => self.state.gd_retry_round(ctx, shard),
-                    kind => {
-                        let actions = self.state.engine.handle_timer(ctx.now(), shard, kind);
-                        self.state.apply(ctx, actions);
-                    }
+        if let Some(kind) = decode_engine_token(token) {
+            match kind {
+                TimerKind::GdRetry => self.state.gd_retry_round(ctx),
+                kind => {
+                    let actions = self.state.engine.handle(ctx.now(), Event::Timer(kind));
+                    self.state.apply(ctx, actions);
                 }
             }
             self.drain(ctx);

@@ -658,8 +658,8 @@ pub fn approx_wire_bytes(value: &Value) -> usize {
 }
 
 /// Driver-side filter/semantic counters, kept as atomics because the
-/// gates run outside any engine lock (the publish gate fires before a
-/// shard is even chosen). Folded into merged
+/// gates run outside any engine lock (the publish gate fires before the
+/// engine is locked). Folded into
 /// [`BusStats`](super::BusStats) snapshots via
 /// [`FilterCounters::fold_into`].
 #[derive(Debug, Default)]

@@ -17,7 +17,7 @@
 //! are pure, they can be driven directly by tests with arbitrary loss,
 //! duplication, and reordering — no simulator in the loop (see the
 //! `engine_prop` integration tests) — and new transports (real sockets,
-//! async runtimes, shards) only need to implement [`Transport`].
+//! async runtimes) only need to implement [`Transport`].
 //!
 //! # Event/Action contract
 //!
@@ -33,7 +33,6 @@ pub mod discovery;
 pub mod filter;
 pub mod guaranteed;
 pub mod reliable;
-pub mod sharded;
 pub mod stats;
 
 use crate::buf::Bytes;
@@ -47,9 +46,6 @@ use infobus_subject::{InternedSubject, SubjectTable};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-pub use sharded::{
-    run_sharded_actions, shard_of_subject, ShardId, ShardTransport, ShardedEngine, ShardedStats,
-};
 pub use stats::{BusStats, RmiLatency, STATS_SUBJECT_PREFIX};
 
 /// Microseconds of protocol time. The engine does not read clocks: every
@@ -327,21 +323,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine for the daemon on `host32`, with its own
-    /// private intern table.
+    /// Creates an engine for the daemon on `host32`, owning the daemon's
+    /// subject intern table.
     pub fn new(cfg: BusConfig, host32: u32) -> Engine {
-        Engine::with_table(cfg, host32, SubjectTable::new())
-    }
-
-    /// Creates an engine sharing `table` — shards of one daemon share a
-    /// single table so a [`SubjectId`](infobus_subject::SubjectId) means
-    /// the same thing on every shard.
-    pub fn with_table(cfg: BusConfig, host32: u32, table: SubjectTable) -> Engine {
         Engine {
             cfg,
             host32,
             loopback: false,
-            table,
+            table: SubjectTable::new(),
             out: reliable::Publisher::new(),
             inb: reliable::Receiver::new(),
             batch: batch::Batcher::new(),

@@ -67,9 +67,8 @@ impl RmiLatency {
     }
 
     /// Adds another histogram into this one, bucket by bucket. Because
-    /// every shard uses the same [`RmiLatency::BOUNDS_US`], merging shard
-    /// histograms loses nothing: counts, sums, and per-bucket tallies all
-    /// add.
+    /// every histogram uses the same [`RmiLatency::BOUNDS_US`], merging
+    /// loses nothing: counts, sums, and per-bucket tallies all add.
     pub fn merge_from(&mut self, other: &RmiLatency) {
         for (slot, add) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *slot += add;
@@ -211,8 +210,7 @@ pub struct BusStats {
     pub gd_ledger_appends: u64,
     /// Bytes written to durable ledger segments (frames of both kinds).
     pub gd_ledger_bytes: u64,
-    /// Ledger segment files currently on disk (a gauge, summed across
-    /// shards).
+    /// Ledger segment files currently on disk (a gauge).
     pub gd_ledger_segments: u64,
     /// Ledger compaction passes performed.
     pub gd_ledger_compactions: u64,
@@ -323,11 +321,11 @@ const STATS_COUNTERS: &[&str] = &[
 
 impl BusStats {
     /// Adds every counter of `other` into this snapshot, including the
-    /// RMI latency histogram. This is how per-shard snapshots combine
-    /// into one daemon-level snapshot: monotonic counters sum, and the
-    /// gauges (`gd_pending`, `sub_queue_depth`, `sess_active`) sum too
-    /// because each shard (or broker) owns a disjoint slice of the
-    /// pending set, the queues, and the sessions.
+    /// RMI latency histogram. This is how the snapshots of several
+    /// daemons combine into one: monotonic counters sum, and the gauges
+    /// (`gd_pending`, `sub_queue_depth`, `sess_active`) sum too because
+    /// each daemon owns a disjoint slice of the pending set, the queues,
+    /// and the sessions.
     pub fn merge_from(&mut self, other: &BusStats) {
         for name in STATS_COUNTERS {
             let add = other.counter(name);
@@ -336,16 +334,6 @@ impl BusStats {
             }
         }
         self.rmi_latency.merge_from(&other.rmi_latency);
-    }
-
-    /// Merges a set of snapshots (per-shard breakdowns, typically) into
-    /// one combined snapshot.
-    pub fn merged<'a>(snaps: impl IntoIterator<Item = &'a BusStats>) -> BusStats {
-        let mut total = BusStats::default();
-        for s in snaps {
-            total.merge_from(s);
-        }
-        total
     }
 
     /// Mean envelopes per flushed batch (0 when batching never flushed).
@@ -588,7 +576,7 @@ mod tests {
         s
     }
 
-    /// Splits a snapshot into `k` shard-like parts whose counters sum
+    /// Splits a snapshot into `k` parts whose counters sum
     /// back to the original: counter value `v` becomes `v / k` per part
     /// plus the remainder on part 0, and each histogram observation goes
     /// to one part round-robin.
@@ -624,8 +612,10 @@ mod tests {
     fn merge_of_split_is_identity() {
         let s = dense();
         for k in [1, 2, 4, 7] {
-            let parts = split(&s, k);
-            let merged = BusStats::merged(parts.iter());
+            let mut merged = BusStats::default();
+            for p in &split(&s, k) {
+                merged.merge_from(p);
+            }
             assert_eq!(merged, s, "merge(split(s, {k})) != s");
         }
     }
@@ -637,7 +627,8 @@ mod tests {
         b.naks_sent = 3;
         b.sub_queue_depth = 999;
         b.rmi_latency.record(123);
-        let merged = BusStats::merged([&a, &b]);
+        let mut merged = a.clone();
+        merged.merge_from(&b);
         for name in STATS_COUNTERS {
             assert_eq!(
                 merged.counter(name),
@@ -656,21 +647,6 @@ mod tests {
             merged.rmi_latency.count(),
             a.rmi_latency.count() + b.rmi_latency.count()
         );
-    }
-
-    #[test]
-    fn merge_keeps_per_shard_max_depth_recoverable() {
-        // The merged gauge is the *total* queue depth; the per-shard
-        // breakdown (what ShardedEngine::shard_stats returns) is what
-        // preserves the max. Verify both views agree on one dataset.
-        let mut parts = vec![BusStats::default(); 4];
-        for (i, p) in parts.iter_mut().enumerate() {
-            p.sub_queue_depth = (i as u64 + 1) * 10;
-        }
-        let merged = BusStats::merged(parts.iter());
-        assert_eq!(merged.sub_queue_depth, 10 + 20 + 30 + 40);
-        let max = parts.iter().map(|p| p.sub_queue_depth).max().unwrap();
-        assert_eq!(max, 40);
     }
 
     #[test]

@@ -24,18 +24,15 @@
 //! * the payload is marshalled into a buffer recycled from a
 //!   [`BufPool`] and frozen into a shared [`Bytes`] slice — subscriber
 //!   fan-out clones reference counts, never bytes;
-//! * engine actions append into a per-shard scratch vector whose
-//!   capacity persists across publishes;
+//! * engine actions append into a scratch vector whose capacity
+//!   persists across publishes;
 //! * fan-out targets come from a subject-id-keyed cache (rebuilt lazily
 //!   when the subscription set changes), so the trie walk and its
 //!   temporary vectors are off the steady-state path entirely.
 //!
-//! By default `publish` runs that whole chain synchronously on the
-//! calling thread. [`InprocBus::with_workers`] instead runs one worker
-//! thread per engine shard: publishers marshal and hand off to the
-//! owning shard's worker, which does the sequencing and delivery — the
-//! in-process analogue of the paper's application-to-daemon hand-off
-//! (see the constructor's docs for the contract).
+//! `publish` runs that whole chain synchronously on the calling thread.
+//! A loopback has no wire to batch for, so every configuration takes
+//! this path ([`BusConfig::batch_enabled`] is ignored here).
 //!
 //! # Examples
 //!
@@ -55,7 +52,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock};
 
 use infobus_router::SubjectMap;
 use infobus_subject::{InternedSubject, SubjectFilter, SubjectTable, SubjectTrie, SubscriptionId};
@@ -68,12 +65,8 @@ use crate::config::BusConfig;
 use crate::engine::filter::{
     self, approx_wire_bytes, CompiledPredicate, FilterCounters, Predicate,
 };
-use crate::engine::{
-    shard_of_subject, Action, BusStats, Engine, Event, Micros, PubSource, ShardedEngine,
-    ShardedStats,
-};
+use crate::engine::{Action, BusStats, Engine, Event, Micros, PubSource};
 use crate::envelope::{Envelope, EnvelopeKind};
-use crate::msg::Packet;
 use crate::nvstore::NvStore;
 use crate::queue::{sub_queue, SubReceiver, SubSender};
 use crate::{BusError, QoS};
@@ -91,26 +84,10 @@ pub type InprocMessage = Delivery;
 /// The single-node host id the in-process engine publishes under.
 const INPROC_HOST: u32 = 1;
 
-/// Work handed from a publishing thread to a shard's worker thread
-/// (worker mode only; see [`InprocBus::with_workers`]). Both fields are
-/// shared handles — the hand-off copies no subject text and no payload
-/// bytes.
-enum Job {
-    /// An interned-subject, already-marshalled publication.
-    Publish {
-        subject: InternedSubject,
-        payload: Bytes,
-        qos: QoS,
-    },
-    /// A drain marker: the worker acks once every job queued before it
-    /// has been fully processed (the hand-off channel is FIFO).
-    Flush(mpsc::Sender<()>),
-}
-
-/// One engine shard plus its reusable action scratch vector. The scratch
-/// lives under the same mutex as the engine, so the fast path drains and
+/// The engine plus its reusable action scratch vector. The scratch lives
+/// under the same mutex as the engine, so the fast path drains and
 /// refills it without ever releasing its capacity.
-struct ShardSlot {
+struct EngineSlot {
     engine: Engine,
     scratch: Vec<Action>,
 }
@@ -140,29 +117,25 @@ struct MatchCache {
 // engine/trie state possibly inconsistent; propagating the panic to every
 // other bus user is safer than limping on with torn state.
 struct Inner {
-    /// The protocol engine, in loopback mode: broadcasts from our own
-    /// host are accepted back into the receive path. A [`ShardedEngine`]
-    /// flattened so each shard sits behind its *own* mutex: publishers
-    /// on subjects owned by different shards take different locks and
-    /// stop contending on one state machine ([`BusConfig::shards`]
-    /// shards; one — the unsharded bus — by default).
-    shards: Vec<Mutex<ShardSlot>>,
+    /// The protocol engine, in loopback mode: envelopes from our own
+    /// host are accepted back into the receive path.
+    engine: Mutex<EngineSlot>,
     trie: RwLock<SubjectTrie<SubEntry>>,
     registry: Mutex<TypeRegistry>,
     /// Monotonic protocol time (the engine is sans-I/O and never reads a
     /// clock; one tick per publication is plenty for a lossless loop).
     now: AtomicU64,
     /// Guaranteed-delivery non-volatile store: in-memory by default, a
-    /// per-shard write-ahead ledger when [`BusConfig::durable_dir`] is
-    /// set (replayed into the shard engines at construction).
+    /// write-ahead ledger when [`BusConfig::durable_dir`] is set
+    /// (replayed into the engine at construction).
     nv: Mutex<NvStore>,
     /// Per-subscriber queue cap (0 = unbounded), from
     /// [`BusConfig::subscriber_queue_cap`].
     queue_cap: usize,
     /// Cumulative drop-oldest evictions across all subscriber queues.
     queue_dropped: Arc<AtomicU64>,
-    /// The daemon-wide subject intern table (shared with every shard
-    /// engine): subjects are interned once at the publish boundary.
+    /// The engine's subject intern table: subjects are interned once at
+    /// the publish boundary.
     table: SubjectTable,
     /// Recycled marshal buffers — see [`BufPool`].
     pool: BufPool,
@@ -172,8 +145,8 @@ struct Inner {
     /// Bumped by every subscribe/unsubscribe; invalidates `match_cache`.
     sub_gen: AtomicU64,
     match_cache: RwLock<MatchCache>,
-    /// Content-filter and semantic-mapping counters, folded into merged
-    /// stats snapshots (the gates run outside the shard locks).
+    /// Content-filter and semantic-mapping counters, folded into stats
+    /// snapshots (the gates run outside the engine lock).
     filt: FilterCounters,
     /// The semantic subject map from [`BusConfig::subject_map`]; `None`
     /// when unset or empty (the common case — zero overhead).
@@ -182,50 +155,6 @@ struct Inner {
     /// subscription, keyed by the primary id so unsubscribe removes the
     /// whole family.
     expansions: Mutex<HashMap<SubscriptionId, Vec<SubscriptionId>>>,
-    /// Worker mode: one hand-off channel per shard, indexed by shard id.
-    /// `None` in the default synchronous mode. Workers hold only a
-    /// [`Weak`] back-reference, so dropping the last bus handle drops
-    /// these senders, which disconnects the receivers and lets every
-    /// worker thread exit.
-    workers: Option<Vec<mpsc::Sender<Job>>>,
-}
-
-impl Inner {
-    fn new(cfg: BusConfig, workers: Option<Vec<mpsc::Sender<Job>>>) -> (Self, usize) {
-        let queue_cap = cfg.subscriber_queue_cap;
-        let pool_slots = cfg.marshal_pool_slots();
-        let semantic = cfg.semantic_map().cloned();
-        let (shards, nv, table) = build_shards(cfg);
-        let n = shards.len();
-        (
-            Inner {
-                shards,
-                nv: Mutex::new(nv),
-                trie: RwLock::new(SubjectTrie::new()),
-                registry: Mutex::new(TypeRegistry::with_fundamentals()),
-                now: AtomicU64::new(0),
-                queue_cap,
-                queue_dropped: Arc::new(AtomicU64::new(0)),
-                table,
-                pool: BufPool::with_slots(pool_slots),
-                source: PubSource {
-                    app: "inproc".into(),
-                    inc: 1,
-                    route: None,
-                },
-                sub_gen: AtomicU64::new(0),
-                match_cache: RwLock::new(MatchCache {
-                    gen: 0,
-                    map: HashMap::new(),
-                }),
-                filt: FilterCounters::default(),
-                semantic,
-                expansions: Mutex::new(HashMap::new()),
-                workers,
-            },
-            n,
-        )
-    }
 }
 
 /// A thread-safe publish/subscribe bus within one process, driving the
@@ -256,59 +185,47 @@ impl InprocBus {
     /// Panics if a durable ledger directory cannot be opened
     /// (fail-stop; see [`NvStore`]).
     pub fn with_config(cfg: BusConfig) -> Self {
-        let (inner, _) = Inner::new(cfg, None);
+        let nv = NvStore::open(&cfg).expect("open guaranteed-delivery ledger");
+        let queue_cap = cfg.subscriber_queue_cap;
+        let pool_slots = cfg.marshal_pool_slots();
+        let semantic = cfg.semantic_map().cloned();
+        let mut engine = Engine::new_loopback(cfg, INPROC_HOST);
+        let table = engine.table().clone();
+        let recovered = nv
+            .recovered_envelopes(&table)
+            .expect("read guaranteed-delivery ledger");
+        // The retry-timer arm a daemon would perform is dropped: the
+        // in-process loop runs its retry rounds synchronously instead.
+        let _ = engine.gd_load(recovered);
         InprocBus {
-            inner: Arc::new(inner),
+            inner: Arc::new(Inner {
+                engine: Mutex::new(EngineSlot {
+                    engine,
+                    scratch: Vec::new(),
+                }),
+                nv: Mutex::new(nv),
+                trie: RwLock::new(SubjectTrie::new()),
+                registry: Mutex::new(TypeRegistry::with_fundamentals()),
+                now: AtomicU64::new(0),
+                queue_cap,
+                queue_dropped: Arc::new(AtomicU64::new(0)),
+                table,
+                pool: BufPool::with_slots(pool_slots),
+                source: PubSource {
+                    app: "inproc".into(),
+                    inc: 1,
+                    route: None,
+                },
+                sub_gen: AtomicU64::new(0),
+                match_cache: RwLock::new(MatchCache {
+                    gen: 0,
+                    map: HashMap::new(),
+                }),
+                filt: FilterCounters::default(),
+                semantic,
+                expansions: Mutex::new(HashMap::new()),
+            }),
         }
-    }
-
-    /// Creates a bus that runs one worker thread per engine shard
-    /// (worker mode). [`InprocBus::publish`] then marshals on the
-    /// calling thread, hands the payload to the owning shard's worker
-    /// over a FIFO channel, and returns without waiting for delivery —
-    /// the sequencing → loopback → trie-match → subscriber hand-off
-    /// chain runs on the worker. Publishers on different subjects
-    /// therefore never contend on an engine lock, and a publisher is
-    /// never blocked behind another subject's delivery work; this is
-    /// the in-process analogue of the paper's application-to-daemon
-    /// hand-off.
-    ///
-    /// Ordering is unchanged: one worker per shard and a FIFO hand-off
-    /// channel preserve per-subject publication order end to end.
-    ///
-    /// Caveats of the asynchronous contract:
-    /// - the hand-off queue is unbounded — publishers that outrun a
-    ///   shard's worker trade memory for publisher-side latency;
-    /// - the return value of `publish` counts subscribers matching *at
-    ///   hand-off time*, not at delivery;
-    /// - publications still queued when the last bus handle drops are
-    ///   discarded (the workers exit as their channels disconnect).
-    ///   Call [`InprocBus::drain`] first for a clean shutdown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a durable ledger directory cannot be opened
-    /// (fail-stop; see [`NvStore`]).
-    pub fn with_workers(cfg: BusConfig) -> Self {
-        let inner = Arc::new_cyclic(|weak: &Weak<Inner>| {
-            let (inner, shard_count) = Inner::new(cfg, None);
-            let txs = (0..shard_count)
-                .map(|shard| {
-                    let (tx, rx) = mpsc::channel::<Job>();
-                    let weak = weak.clone();
-                    std::thread::Builder::new()
-                        .name(format!("inproc-shard-{shard}"))
-                        .spawn(move || shard_worker(shard, &weak, &rx))
-                        .expect("spawn shard worker");
-                    tx
-                })
-                .collect();
-            Inner {
-                workers: Some(txs),
-                ..inner
-            }
-        });
-        InprocBus { inner }
     }
 
     /// Registers application types so objects can be marshalled.
@@ -488,9 +405,8 @@ impl InprocBus {
     /// with the retry rounds executed synchronously after the publish
     /// (the in-process loop has no timer substrate). A guaranteed
     /// publication nobody subscribes to stays pending
-    /// ([`BusStats::gd_pending`]) until a later guaranteed publish on
-    /// the same shard finds a subscriber to redeliver to, exactly the
-    /// at-least-once contract.
+    /// ([`BusStats::gd_pending`]) until a later guaranteed publish finds
+    /// a subscriber to redeliver to, exactly the at-least-once contract.
     ///
     /// # Errors
     ///
@@ -522,7 +438,7 @@ impl InprocBus {
                 .map_err(|e| BusError::Marshal(e.to_string()))?;
             buf.freeze()
         };
-        self.dispatch(&subject, payload, qos)
+        Ok(self.dispatch(&subject, payload, qos))
     }
 
     /// Publishes bytes already marshalled with
@@ -566,7 +482,7 @@ impl InprocBus {
         }
         let mut buf = self.inner.pool.take();
         buf.vec_mut().extend_from_slice(payload);
-        self.dispatch(&subject, buf.freeze(), qos)
+        Ok(self.dispatch(&subject, buf.freeze(), qos))
     }
 
     /// Interns a publish subject, first rewriting it to canonical form
@@ -583,100 +499,43 @@ impl InprocBus {
         Ok(self.inner.table.intern(subject)?)
     }
 
-    /// Routes an interned, marshalled publication to the owning shard —
-    /// synchronously in the default mode, over the hand-off channel in
-    /// worker mode.
-    fn dispatch(
-        &self,
-        subject: &InternedSubject,
-        payload: Bytes,
-        qos: QoS,
-    ) -> Result<usize, BusError> {
-        let shard = shard_of_subject(subject.as_str(), self.inner.shards.len());
-        if let Some(workers) = &self.inner.workers {
-            // Worker mode: count the matching subscribers now (the
-            // caller's view at hand-off time), then let the owning
-            // shard's worker run the protocol and delivery off the
-            // caller's thread.
-            let count = self.matching_entries(subject).len();
-            workers[shard]
-                .send(Job::Publish {
-                    subject: subject.clone(),
-                    payload,
-                    qos,
-                })
-                .expect("shard worker exited");
-            return Ok(count);
-        }
-        Ok(self.publish_on_shard(shard, subject, payload, qos))
-    }
-
-    /// The synchronous tail of a publish: sequence the marshalled
-    /// payload through the owning shard's engine and perform the
-    /// resulting actions until delivery. Runs on the calling thread in
-    /// the default mode and on the shard's worker thread in worker mode.
-    /// Returns the number of subscribers the message was handed to.
-    fn publish_on_shard(
-        &self,
-        shard: usize,
-        subject: &InternedSubject,
-        payload: Bytes,
-        qos: QoS,
-    ) -> usize {
+    /// The tail of a publish: sequence the marshalled payload, feed the
+    /// envelope straight back into the receive path — the same engine
+    /// transitions a looped-back broadcast would produce, minus the
+    /// packet and its single-envelope vector — and perform the resulting
+    /// actions until delivery. The scratch's capacity persists across
+    /// publishes, so the steady state allocates nothing. Returns the
+    /// number of subscribers the message was handed to.
+    fn dispatch(&self, subject: &InternedSubject, payload: Bytes, qos: QoS) -> usize {
         let now = self.inner.now.fetch_add(1, Ordering::Relaxed) + 1;
-        // Only the owning shard's lock is taken: the entire publish →
-        // loopback → deliver chain for a subject happens inside one
-        // shard, so publishers on other shards proceed in parallel.
-        let mut slot = self.inner.shards[shard].lock().expect("lock poisoned");
+        let mut slot = self.inner.engine.lock().expect("lock poisoned");
         let slot = &mut *slot;
         let mut delivered = 0usize;
-        if slot.engine.config().batch_enabled {
-            // Batched: the classic publish → enqueue → loopback chain,
-            // so batch accounting and flush behavior stay exact.
-            let actions = slot.engine.handle(
-                now,
-                Event::Publish {
-                    source: self.inner.source.clone(),
-                    subject: subject.clone(),
-                    qos,
-                    kind: EnvelopeKind::Data,
-                    corr: 0,
-                    payload,
-                },
-            );
-            self.loopback(&mut slot.engine, shard, now, actions, &mut delivered);
-        } else {
-            // Fast path: sequence, then feed the envelope straight back
-            // into the receive path — the same engine transitions the
-            // broadcast wrapper would produce, minus the packet and its
-            // single-envelope vector. The scratch's capacity persists
-            // across publishes, so the steady state allocates nothing.
-            let mut scratch = std::mem::take(&mut slot.scratch);
-            let env = slot.engine.publish_into(
-                now,
-                &self.inner.source,
-                subject,
-                qos,
-                EnvelopeKind::Data,
-                0,
-                payload,
-                &mut scratch,
-            );
-            slot.engine.handle_into(
-                now,
-                Event::Envelope {
-                    env,
-                    entitled: true,
-                },
-                &mut scratch,
-            );
-            for action in scratch.drain(..) {
-                self.perform(&mut slot.engine, shard, now, action, &mut delivered);
-            }
-            slot.scratch = scratch;
+        let mut scratch = std::mem::take(&mut slot.scratch);
+        let env = slot.engine.publish_into(
+            now,
+            &self.inner.source,
+            subject,
+            qos,
+            EnvelopeKind::Data,
+            0,
+            payload,
+            &mut scratch,
+        );
+        slot.engine.handle_into(
+            now,
+            Event::Envelope {
+                env,
+                entitled: true,
+            },
+            &mut scratch,
+        );
+        for action in scratch.drain(..) {
+            self.perform(&mut slot.engine, action, &mut delivered);
         }
+        slot.scratch = scratch;
         if qos == QoS::Guaranteed {
-            self.gd_rounds(&mut slot.engine, shard, now, &mut delivered);
+            self.gd_rounds(&mut slot.engine, now, &mut delivered);
         }
         delivered
     }
@@ -688,7 +547,7 @@ impl InprocBus {
     /// just-attached subscriber its redelivery window, the second
     /// completes the entry. Single host, so the interest snapshot maps
     /// every pending subject to "no remote hosts".
-    fn gd_rounds(&self, engine: &mut Engine, shard: usize, now: Micros, delivered: &mut usize) {
+    fn gd_rounds(&self, engine: &mut Engine, now: Micros, delivered: &mut usize) {
         for _ in 0..2 {
             let interest: HashMap<String, Vec<u32>> = engine
                 .gd_subjects()
@@ -698,81 +557,23 @@ impl InprocBus {
             if interest.is_empty() {
                 return;
             }
-            let actions = engine.handle(now, Event::GdRetry { interest });
-            self.loopback(engine, shard, now, actions, delivered);
-        }
-    }
-
-    /// Blocks until every publication handed off before this call has
-    /// been fully processed (sequenced and delivered to subscriber
-    /// queues). A no-op in the default synchronous mode, where
-    /// [`InprocBus::publish`] already returns post-delivery. In worker
-    /// mode this is the barrier between "handed to the bus" and
-    /// "visible to subscribers" — call it before reading
-    /// [`InprocBus::stats`] or shutting down.
-    pub fn drain(&self) {
-        let Some(workers) = &self.inner.workers else {
-            return;
-        };
-        let (ack_tx, ack_rx) = mpsc::channel();
-        for tx in workers {
-            tx.send(Job::Flush(ack_tx.clone()))
-                .expect("shard worker exited");
-        }
-        drop(ack_tx);
-        // One ack per worker; the hand-off channels are FIFO, so each
-        // ack proves that shard's earlier jobs are done.
-        for _ in workers {
-            ack_rx.recv().expect("shard worker exited");
-        }
-    }
-
-    /// Performs engine actions in loopback (the cold-path form taking an
-    /// owned action vector; the fast path drains the shard's scratch
-    /// through [`InprocBus::perform`] directly).
-    fn loopback(
-        &self,
-        engine: &mut Engine,
-        shard: usize,
-        now: Micros,
-        actions: Vec<Action>,
-        delivered: &mut usize,
-    ) {
-        for action in actions {
-            self.perform(engine, shard, now, action, delivered);
-        }
-    }
-
-    /// Performs one engine action: broadcasts feed straight back into
-    /// the engine's receive path and deliveries fan out to subscriber
-    /// channels; local delivery doubles as the guaranteed
-    /// acknowledgment. `Persist`/`Unpersist` land on the shared
-    /// [`NvStore`] on behalf of `shard` — the write-ahead ledger when
-    /// the bus is durable. Timers have no substrate here and are
-    /// dropped — with a lossless in-memory loop there is never a gap to
-    /// scan for, and guaranteed retry rounds run synchronously after
-    /// each guaranteed publish instead.
-    fn perform(
-        &self,
-        engine: &mut Engine,
-        shard: usize,
-        now: Micros,
-        action: Action,
-        delivered: &mut usize,
-    ) {
-        match action {
-            Action::Broadcast(Packet::Data { envelopes, .. }) => {
-                for env in envelopes {
-                    let next = engine.handle(
-                        now,
-                        Event::Envelope {
-                            env,
-                            entitled: true,
-                        },
-                    );
-                    self.loopback(engine, shard, now, next, delivered);
-                }
+            for action in engine.handle(now, Event::GdRetry { interest }) {
+                self.perform(engine, action, delivered);
             }
+        }
+    }
+
+    /// Performs one engine action: deliveries fan out to subscriber
+    /// channels, and local delivery doubles as the guaranteed
+    /// acknowledgment. `Persist`/`Unpersist` land on the [`NvStore`] —
+    /// the write-ahead ledger when the bus is durable. Broadcasts and
+    /// timers have no substrate here and are dropped: the publish path
+    /// already fed its envelope back into the receive path, a lossless
+    /// in-memory loop never has a gap to digest or scan for, and
+    /// guaranteed retry rounds run synchronously after each guaranteed
+    /// publish instead.
+    fn perform(&self, engine: &mut Engine, action: Action, delivered: &mut usize) {
+        match action {
             Action::Broadcast(_) => {}
             // Unicasts here can only be acks for our own guaranteed
             // envelopes, looped back from the receive path. A real
@@ -806,14 +607,14 @@ impl InprocBus {
                     .nv
                     .lock()
                     .expect("lock poisoned")
-                    .persist(shard, &key, &bytes);
+                    .persist(0, &key, &bytes);
             }
             Action::Unpersist { key } => {
                 self.inner
                     .nv
                     .lock()
                     .expect("lock poisoned")
-                    .unpersist(shard, &key);
+                    .unpersist(0, &key);
             }
             Action::SetTimer { .. } => {}
         }
@@ -876,83 +677,35 @@ impl InprocBus {
         self.inner.trie.read().expect("lock poisoned").len()
     }
 
-    /// Number of engine shards behind this bus (≥ 1).
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// A snapshot of the engine's protocol counters merged across
-    /// shards, with the live backpressure gauges (queued backlog and
-    /// drop-oldest evictions) folded in.
+    /// A snapshot of the engine's protocol counters with the live
+    /// backpressure gauges (queued backlog and drop-oldest evictions),
+    /// the intern-table size, the buffer-pool counters, the filter
+    /// counters and the ledger counters folded in.
     pub fn stats(&self) -> BusStats {
-        self.sharded_stats().merged
-    }
-
-    /// The merged counters plus the per-shard breakdown. The queue
-    /// gauges, the intern-table size, and the buffer-pool counters live
-    /// on the bus, not a shard, and are folded into the merged snapshot
-    /// only.
-    pub fn sharded_stats(&self) -> ShardedStats {
-        let per_shard: Vec<BusStats> = self
+        let mut stats = self
             .inner
-            .shards
-            .iter()
-            .map(|m| m.lock().expect("lock poisoned").engine.stats.clone())
-            .collect();
-        let mut merged = BusStats::merged(per_shard.iter());
+            .engine
+            .lock()
+            .expect("lock poisoned")
+            .engine
+            .stats
+            .clone();
         let trie = self.inner.trie.read().expect("lock poisoned");
         let mut depth = 0u64;
         trie.for_each(|_, _, e| depth += e.tx.queued() as u64);
-        merged.sub_queue_depth = depth;
-        merged.sub_queue_dropped = self.inner.queue_dropped.load(Ordering::Relaxed);
-        merged.subj_interned = self.inner.table.len() as u64;
-        merged.buf_pool_hits = self.inner.pool.hits();
-        merged.buf_pool_misses = self.inner.pool.misses();
-        self.inner.filt.fold_into(&mut merged);
+        stats.sub_queue_depth = depth;
+        stats.sub_queue_dropped = self.inner.queue_dropped.load(Ordering::Relaxed);
+        stats.subj_interned = self.inner.table.len() as u64;
+        stats.buf_pool_hits = self.inner.pool.hits();
+        stats.buf_pool_misses = self.inner.pool.misses();
+        self.inner.filt.fold_into(&mut stats);
         self.inner
             .nv
             .lock()
             .expect("lock poisoned")
-            .stamp_stats(&mut merged);
-        ShardedStats { merged, per_shard }
+            .stamp_stats(&mut stats);
+        stats
     }
-}
-
-/// Opens the non-volatile store `cfg` asks for, builds the loopback
-/// shard engines (sharing one subject intern table), and replays any
-/// recovered ledger entries onto their owning shards (the arming actions
-/// a daemon would run are dropped — the in-process loop retries
-/// synchronously instead).
-fn build_shards(cfg: BusConfig) -> (Vec<Mutex<ShardSlot>>, NvStore, SubjectTable) {
-    let nv = NvStore::open(&cfg).expect("open guaranteed-delivery ledger");
-    let sharded = ShardedEngine::new_loopback(cfg, INPROC_HOST);
-    let table = sharded.table().clone();
-    let recovered = nv
-        .recovered_envelopes(&table)
-        .expect("read guaranteed-delivery ledger");
-    let mut engines = sharded.into_shards();
-    if !recovered.is_empty() {
-        let n = engines.len();
-        let mut by_shard: Vec<Vec<Envelope>> = (0..n).map(|_| Vec::new()).collect();
-        for env in recovered {
-            by_shard[shard_of_subject(env.subject.as_str(), n)].push(env);
-        }
-        for (shard, envs) in by_shard.into_iter().enumerate() {
-            if !envs.is_empty() {
-                let _ = engines[shard].gd_load(envs);
-            }
-        }
-    }
-    let slots = engines
-        .into_iter()
-        .map(|engine| {
-            Mutex::new(ShardSlot {
-                engine,
-                scratch: Vec::new(),
-            })
-        })
-        .collect();
-    (slots, nv, table)
 }
 
 impl Default for InprocBus {
@@ -982,39 +735,11 @@ impl Bus for InprocBus {
         InprocBus::unsubscribe(self, sub)
     }
 
-    /// Full barrier: in the default synchronous mode delivery already
-    /// happened inside `publish`; in worker mode this waits for every
-    /// queued hand-off (see [`InprocBus::drain`]).
-    fn drain(&self) {
-        InprocBus::drain(self)
-    }
+    /// A no-op: delivery already happened inside `publish`.
+    fn drain(&self) {}
 
     fn stats(&self) -> BusStats {
         InprocBus::stats(self)
-    }
-}
-
-/// A shard worker's main loop (worker mode): run publications for one
-/// shard until every bus handle is gone. The worker holds only a
-/// [`Weak`] so it cannot keep the bus alive; once the last handle drops,
-/// the senders owned by [`Inner`] drop with it, the channel
-/// disconnects, and the loop — and thread — ends.
-fn shard_worker(shard: usize, weak: &Weak<Inner>, rx: &mpsc::Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Publish {
-                subject,
-                payload,
-                qos,
-            } => {
-                let Some(inner) = weak.upgrade() else { return };
-                let bus = InprocBus { inner };
-                bus.publish_on_shard(shard, &subject, payload, qos);
-            }
-            Job::Flush(ack) => {
-                let _ = ack.send(());
-            }
-        }
     }
 }
 
@@ -1179,101 +904,27 @@ mod tests {
         assert_eq!(stats.dups_dropped, 0);
     }
 
+    /// A loopback has no wire to batch for: under the batched preset a
+    /// lone publish is delivered at once, and so is every one of a
+    /// longer run, none of them waiting on a flush timer the in-process
+    /// loop does not have.
     #[test]
-    fn sharded_bus_keeps_per_subject_order_and_merges_stats() {
-        let bus = InprocBus::with_config(BusConfig::default().with_shards(4));
-        assert_eq!(bus.shard_count(), 4);
-        let subjects = ["alpha.k", "bravo.k", "charlie.k", "delta.k", "echo.k"];
-        let mut rxs = Vec::new();
-        for s in subjects {
-            rxs.push(bus.subscribe(s).unwrap().1);
+    fn batched_config_delivers_every_publish_immediately() {
+        let bus = InprocBus::with_config(BusConfig::throughput());
+        let (_sub, rx) = bus.subscribe("b.>").unwrap();
+        assert_eq!(
+            bus.publish("b.k", &Value::I64(0), QoS::Reliable).unwrap(),
+            1
+        );
+        assert_eq!(rx.try_iter().count(), 1, "lone publish stranded");
+        let mut handed = 0;
+        for i in 1..=201i64 {
+            handed += bus.publish("b.k", &Value::I64(i), QoS::Reliable).unwrap();
         }
-        for i in 0..50i64 {
-            for s in subjects {
-                bus.publish(s, &Value::I64(i), QoS::Reliable).unwrap();
-            }
-        }
-        for rx in &rxs {
-            let got: Vec<Value> = rx.try_iter().map(|m| m.value().unwrap()).collect();
-            assert_eq!(got, (0..50).map(Value::I64).collect::<Vec<_>>());
-        }
-        let snap = bus.sharded_stats();
-        assert_eq!(snap.per_shard.len(), 4);
-        assert_eq!(snap.merged.published, 250);
-        assert_eq!(snap.merged.delivered, 250);
-        // The publications really spread over more than one shard.
-        let active = snap.per_shard.iter().filter(|s| s.published > 0).count();
-        assert!(active > 1, "all subjects hashed to one shard");
-        let sum: u64 = snap.per_shard.iter().map(|s| s.published).sum();
-        assert_eq!(sum, snap.merged.published);
-    }
-
-    #[test]
-    fn worker_mode_delivers_everything_in_order_after_drain() {
-        let bus = InprocBus::with_workers(BusConfig::default().with_shards(4));
-        let subjects = ["alpha.w", "bravo.w", "charlie.w", "delta.w"];
-        let mut rxs = Vec::new();
-        for s in subjects {
-            rxs.push(bus.subscribe(s).unwrap().1);
-        }
-        for i in 0..50i64 {
-            for s in subjects {
-                // Hand-off time: one matching subscriber per subject.
-                assert_eq!(bus.publish(s, &Value::I64(i), QoS::Reliable).unwrap(), 1);
-            }
-        }
-        // The barrier: after drain, every hand-off has been sequenced
-        // and delivered, so the queues and counters are settled.
-        bus.drain();
-        for rx in &rxs {
-            let got: Vec<Value> = rx.try_iter().map(|m| m.value().unwrap()).collect();
-            assert_eq!(got, (0..50).map(Value::I64).collect::<Vec<_>>());
-        }
-        let snap = bus.sharded_stats();
-        assert_eq!(snap.merged.published, 200);
-        assert_eq!(snap.merged.delivered, 200);
-        assert_eq!(snap.merged.dups_dropped, 0);
-        let active = snap.per_shard.iter().filter(|s| s.published > 0).count();
-        assert!(active > 1, "all subjects hashed to one shard");
-    }
-
-    #[test]
-    fn worker_mode_concurrent_publishers_keep_per_subject_order() {
-        let bus = InprocBus::with_workers(BusConfig::default().with_shards(4));
-        let subjects = ["alpha.mt", "bravo.mt", "charlie.mt", "delta.mt"];
-        let mut rxs = Vec::new();
-        for s in subjects {
-            rxs.push(bus.subscribe(s).unwrap().1);
-        }
-        let handles: Vec<_> = subjects
-            .into_iter()
-            .map(|s| {
-                let bus = bus.clone();
-                thread::spawn(move || {
-                    for i in 0..200i64 {
-                        bus.publish(s, &Value::I64(i), QoS::Reliable).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        bus.drain();
-        for rx in &rxs {
-            let got: Vec<Value> = rx.try_iter().map(|m| m.value().unwrap()).collect();
-            assert_eq!(got, (0..200).map(Value::I64).collect::<Vec<_>>());
-        }
-        assert_eq!(bus.stats().delivered, 800);
-    }
-
-    #[test]
-    fn worker_mode_drain_on_sync_bus_is_a_no_op() {
-        let bus = InprocBus::new();
-        let (_sub, rx) = bus.subscribe("a.b").unwrap();
-        bus.publish("a.b", &Value::I64(1), QoS::Reliable).unwrap();
-        bus.drain();
-        assert_eq!(rx.try_iter().count(), 1);
+        assert_eq!(handed, 201);
+        let got: Vec<Value> = rx.try_iter().map(|m| m.value().unwrap()).collect();
+        assert_eq!(got, (1..=201).map(Value::I64).collect::<Vec<_>>());
+        assert_eq!(bus.stats().delivered, 202);
     }
 
     #[test]
@@ -1298,8 +949,8 @@ mod tests {
         bus.publish("gd.orphan", &Value::I64(1), QoS::Guaranteed)
             .unwrap();
         assert_eq!(bus.stats().gd_pending, 1);
-        // A subscriber attaches; the next guaranteed publish on the shard
-        // runs a retry round, which redelivers the pending entry.
+        // A subscriber attaches; the next guaranteed publish runs a retry
+        // round, which redelivers the pending entry.
         let (_sub, rx) = bus.subscribe("gd.>").unwrap();
         bus.publish("gd.other", &Value::I64(2), QoS::Guaranteed)
             .unwrap();

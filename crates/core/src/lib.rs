@@ -45,7 +45,8 @@
 //! daemon ([`BusDaemon`]) and the real-thread in-process bus
 //! ([`inproc`]), which carries the same envelopes between OS threads and
 //! is used by the wall-clock microbenchmarks. New transports implement
-//! [`engine::Transport`].
+//! [`engine::Transport`] and perform each action batch with
+//! [`engine::run_actions`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,9 +77,7 @@ pub use bus::{Bus, BusReceiver, Delivery, Receiver};
 pub use config::BusConfig;
 pub use daemon::{BusDaemon, DAEMON_PORT, RMI_PORT};
 pub use engine::filter::{CmpOp, CompiledPredicate, FilterError, Predicate};
-pub use engine::{
-    shard_of_subject, BusStats, RmiLatency, ShardedEngine, ShardedStats, STATS_SUBJECT_PREFIX,
-};
+pub use engine::{BusStats, RmiLatency, STATS_SUBJECT_PREFIX};
 pub use envelope::{Envelope, EnvelopeKind, StreamKey};
 pub use fabric::BusFabric;
 pub use infobus_router::{SubjectMap, SubjectMapError};

@@ -10,11 +10,9 @@
 //!   survives engine restarts (tests hand the map back to
 //!   [`Engine::gd_load`](crate::engine::Engine::gd_load)) but not
 //!   process death.
-//! * **`Durable`** — one [`WalLedger`] per engine shard under
-//!   [`BusConfig::durable_dir`], laid out as `<dir>/shard-<n>`. Because
-//!   [`shard_of_subject`](crate::engine::shard_of_subject) is stable
-//!   across restarts, a restarted daemon replays each shard's ledger
-//!   directory onto exactly the shard that wrote it.
+//! * **`Durable`** — one [`WalLedger`] at `<dir>/shard-0` under
+//!   [`BusConfig::durable_dir`], replayed into the engine when a driver
+//!   opens.
 //!
 //! Ledger I/O failures on the write path are fail-stop (a panic): a
 //! daemon that cannot log a guaranteed message must not pretend it can
@@ -28,7 +26,7 @@ use infobus_subject::SubjectTable;
 use infobus_wal::{LedgerOptions, LedgerStats, WalLedger};
 
 use crate::config::BusConfig;
-use crate::engine::{BusStats, ShardId};
+use crate::engine::BusStats;
 use crate::envelope::Envelope;
 
 /// The non-volatile store a driver performs ledger actions against.
@@ -37,36 +35,41 @@ pub enum NvStore {
     /// In-memory stand-in for the paper's non-volatile store (the
     /// default, when [`BusConfig::durable_dir`] is unset).
     Mem(BTreeMap<String, Vec<u8>>),
-    /// Per-shard write-ahead ledgers, indexed by [`ShardId`].
-    Durable(Vec<WalLedger>),
+    /// The write-ahead ledger under [`BusConfig::durable_dir`].
+    Durable(WalLedger),
 }
 
-/// The per-shard ledger directory under a durable root.
-pub fn shard_dir(root: &Path, shard: ShardId) -> std::path::PathBuf {
-    root.join(format!("shard-{shard}"))
-}
+/// The ledger's directory under a durable root. Earlier builds split the
+/// ledger into one `shard-<n>` directory per engine shard; keeping the
+/// name of the first means a ledger such a build wrote at its default
+/// of one shard still recovers.
+const LEDGER_DIR: &str = "shard-0";
 
 impl NvStore {
     /// Opens the store `cfg` asks for: in-memory when
-    /// [`BusConfig::durable_dir`] is unset, otherwise one recovered
-    /// [`WalLedger`] per engine shard.
+    /// [`BusConfig::durable_dir`] is unset, otherwise the recovered
+    /// [`WalLedger`] at `<durable_dir>/shard-0`.
     ///
     /// # Errors
     ///
     /// Propagates ledger I/O failures (corrupt content is recovered,
-    /// not an error).
+    /// not an error), and refuses a durable root holding a non-empty
+    /// `shard-<n>` directory for `n ≥ 1`: a ledger slice written by an
+    /// earlier multi-shard build, whose guaranteed entries would
+    /// otherwise be silently dropped.
     pub fn open(cfg: &BusConfig) -> io::Result<NvStore> {
         let Some(root) = &cfg.durable_dir else {
             return Ok(NvStore::Mem(BTreeMap::new()));
         };
+        refuse_orphaned_slices(root)?;
         let opts = LedgerOptions::default()
             .with_segment_bytes(cfg.segment_bytes)
             .with_fsync(cfg.fsync)
             .with_mem_bytes(cfg.durable_mem_bytes);
-        let ledgers = (0..cfg.shards.max(1))
-            .map(|shard| WalLedger::open(shard_dir(root, shard), opts))
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok(NvStore::Durable(ledgers))
+        Ok(NvStore::Durable(WalLedger::open(
+            root.join(LEDGER_DIR),
+            opts,
+        )?))
     }
 
     /// Whether this store writes to disk.
@@ -74,35 +77,36 @@ impl NvStore {
         matches!(self, NvStore::Durable(_))
     }
 
-    /// Records `key → bytes` on behalf of `shard` (the `Persist`
-    /// action).
+    /// Records `key → bytes` (the `Persist` action). `_shard` is always
+    /// 0: there is one ledger.
     ///
     /// # Panics
     ///
     /// Panics on ledger I/O failure — see the module docs on fail-stop.
-    pub fn persist(&mut self, shard: ShardId, key: &str, bytes: &[u8]) {
+    pub fn persist(&mut self, _shard: usize, key: &str, bytes: &[u8]) {
         match self {
             NvStore::Mem(map) => {
                 map.insert(key.to_owned(), bytes.to_vec());
             }
-            NvStore::Durable(ledgers) => ledgers[shard]
+            NvStore::Durable(ledger) => ledger
                 .append(key, bytes)
                 .expect("guaranteed-delivery ledger append failed"),
         }
     }
 
-    /// Releases `key` on behalf of `shard` (the `Unpersist` action).
+    /// Releases `key` (the `Unpersist` action). `_shard` is always 0, as
+    /// for [`NvStore::persist`].
     ///
     /// # Panics
     ///
     /// Panics on ledger I/O failure — see the module docs on fail-stop.
-    pub fn unpersist(&mut self, shard: ShardId, key: &str) {
+    pub fn unpersist(&mut self, _shard: usize, key: &str) {
         match self {
             NvStore::Mem(map) => {
                 map.remove(key);
             }
-            NvStore::Durable(ledgers) => {
-                ledgers[shard]
+            NvStore::Durable(ledger) => {
+                ledger
                     .remove(key)
                     .expect("guaranteed-delivery ledger tombstone failed");
             }
@@ -110,8 +114,7 @@ impl NvStore {
     }
 
     /// Decodes every stored entry back into an envelope — the restart
-    /// replay input for
-    /// [`ShardedEngine::gd_load`](crate::engine::ShardedEngine::gd_load).
+    /// replay input for [`Engine::gd_load`](crate::engine::Engine::gd_load).
     /// Entries whose payload no longer decodes (version skew across a
     /// restart) are skipped rather than fatal.
     ///
@@ -128,12 +131,10 @@ impl NvStore {
                     }
                 }
             }
-            NvStore::Durable(ledgers) => {
-                for ledger in ledgers {
-                    for (_, bytes) in ledger.entries()? {
-                        if let Ok(env) = Envelope::decode(&mut bytes.as_slice(), table) {
-                            envs.push(env);
-                        }
+            NvStore::Durable(ledger) => {
+                for (_, bytes) in ledger.entries()? {
+                    if let Ok(env) = Envelope::decode(&mut bytes.as_slice(), table) {
+                        envs.push(env);
                     }
                 }
             }
@@ -141,11 +142,11 @@ impl NvStore {
         Ok(envs)
     }
 
-    /// Total live entries across shards.
+    /// Live entries.
     pub fn len(&self) -> usize {
         match self {
             NvStore::Mem(map) => map.len(),
-            NvStore::Durable(ledgers) => ledgers.iter().map(WalLedger::len).sum(),
+            NvStore::Durable(ledger) => ledger.len(),
         }
     }
 
@@ -154,20 +155,16 @@ impl NvStore {
         self.len() == 0
     }
 
-    /// Ledger counters summed across shards (all zero for the
-    /// in-memory store).
+    /// Ledger counters (all zero for the in-memory store).
     pub fn ledger_stats(&self) -> LedgerStats {
-        let mut total = LedgerStats::default();
-        if let NvStore::Durable(ledgers) = self {
-            for ledger in ledgers {
-                total.merge_from(&ledger.stats());
-            }
+        match self {
+            NvStore::Mem(_) => LedgerStats::default(),
+            NvStore::Durable(ledger) => ledger.stats(),
         }
-        total
     }
 
     /// Stamps the `gd_ledger_*` counters of a stats snapshot from this
-    /// store (drivers call this when assembling their merged view).
+    /// store (drivers call this when assembling their snapshot).
     pub fn stamp_stats(&self, stats: &mut BusStats) {
         let ls = self.ledger_stats();
         stats.gd_ledger_appends = ls.appends;
@@ -177,6 +174,36 @@ impl NvStore {
         stats.gd_ledger_recovered = ls.recovered;
         stats.gd_ledger_truncations = ls.truncations;
     }
+}
+
+/// Fails if `root` holds a non-empty `shard-<n>` directory with `n ≥ 1`.
+/// Only [`LEDGER_DIR`] is replayed, so opening over such a slice would
+/// drop its guaranteed entries without a word.
+fn refuse_orphaned_slices(root: &Path) -> io::Result<()> {
+    let entries = match std::fs::read_dir(root) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    for entry in entries {
+        let path = entry?.path();
+        let slice = path
+            .file_name()
+            .and_then(|n| n.to_str()?.strip_prefix("shard-")?.parse::<u64>().ok());
+        if slice.is_some_and(|n| n >= 1)
+            && path.is_dir()
+            && std::fs::read_dir(&path)?.next().is_some()
+        {
+            return Err(io::Error::other(format!(
+                "{} holds a guaranteed-delivery ledger slice of an earlier \
+                 multi-shard build, which this build does not replay; \
+                 drain or remove it before opening {}",
+                path.display(),
+                root.display()
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -221,36 +248,41 @@ mod tests {
         assert!(nv.is_empty());
     }
 
+    /// A ledger an earlier build wrote at its default of one shard lives
+    /// in `<dir>/shard-0`, which is where the store still looks.
     #[test]
-    fn durable_store_replays_across_reopen_per_shard() {
-        let dir = ScratchDir::new("nv-replay");
-        let cfg = BusConfig::default()
-            .with_shards(4)
-            .with_durable_dir(dir.path());
+    fn durable_store_recovers_a_shard_0_ledger() {
+        let dir = ScratchDir::new("nv-shard0");
         {
-            let mut nv = NvStore::open(&cfg).unwrap();
-            assert!(nv.is_durable());
-            for (shard, subject) in [(0, "a.x"), (1, "b.x"), (2, "c.x"), (3, "d.x")] {
-                let mut bytes = Vec::new();
-                env(subject, 1).encode(&mut bytes);
-                nv.persist(shard, &format!("gd/t/{subject}/1"), &bytes);
-            }
+            let mut ledger =
+                WalLedger::open(dir.path().join("shard-0"), LedgerOptions::default()).unwrap();
+            let mut bytes = Vec::new();
+            env("a.x", 1).encode(&mut bytes);
+            ledger.append("gd/t/a.x/1", &bytes).unwrap();
         }
-        // Each shard's entries landed in that shard's directory.
-        for shard in 0..4 {
-            assert!(shard_dir(dir.path(), shard).is_dir());
-        }
-        let nv = NvStore::open(&cfg).unwrap();
-        assert_eq!(nv.len(), 4);
-        let mut subjects: Vec<String> = nv
-            .recovered_envelopes(&SubjectTable::new())
-            .unwrap()
-            .into_iter()
-            .map(|e| e.subject.as_str().to_owned())
-            .collect();
-        subjects.sort();
-        assert_eq!(subjects, ["a.x", "b.x", "c.x", "d.x"]);
-        assert_eq!(nv.ledger_stats().recovered, 4);
+        let nv = NvStore::open(&BusConfig::default().with_durable_dir(dir.path())).unwrap();
+        let envs = nv.recovered_envelopes(&SubjectTable::new()).unwrap();
+        assert_eq!(envs.len(), 1);
+        assert_eq!(envs[0].subject, "a.x");
+    }
+
+    /// A non-empty `shard-<n>` slice for `n ≥ 1` would be dropped without
+    /// a word, so opening refuses and names it; an empty one is harmless.
+    #[test]
+    fn durable_store_refuses_an_orphaned_shard_slice() {
+        let dir = ScratchDir::new("nv-orphan");
+        let cfg = BusConfig::default().with_durable_dir(dir.path());
+        let slice = dir.path().join("shard-3");
+        std::fs::create_dir_all(&slice).unwrap();
+        assert!(NvStore::open(&cfg).is_ok(), "an empty slice loses nothing");
+        std::fs::write(slice.join("seg-0000000000000000.wal"), b"entries").unwrap();
+        let err = NvStore::open(&cfg)
+            .err()
+            .expect("orphaned slice must refuse");
+        assert!(
+            err.to_string().contains(&slice.display().to_string()),
+            "error must name the slice: {err}"
+        );
     }
 
     /// The full restart loop: a publisher engine persists guaranteed

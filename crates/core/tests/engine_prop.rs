@@ -533,389 +533,6 @@ fn publisher_crash_restart_redrives_guaranteed_ledger() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded engine properties
-// ---------------------------------------------------------------------------
-
-mod shard_prop {
-    //! The same adversarial properties, driven against a
-    //! [`ShardedEngine`]: subject-keyed routing must be deterministic
-    //! across restarts, repair must converge per subject when traffic
-    //! spans several shards, and a crash/restart that replays only one
-    //! shard's persist map must redrive exactly that shard's ledger.
-
-    use super::*;
-    use infobus_core::engine::{shard_of_subject, ShardId, ShardedEngine, TimerKind};
-
-    /// Subjects with distinct first segments; at four shards they
-    /// provably spread over at least two (asserted where it matters).
-    const SPREAD: [&str; 4] = ["alpha.prop", "bravo.prop", "charlie.prop", "delta.prop"];
-    const SHARDS: usize = 4;
-
-    /// Drops the shard tags so the untagged helpers above apply.
-    fn untag(actions: Vec<(ShardId, Action)>) -> Vec<Action> {
-        actions.into_iter().map(|(_, a)| a).collect()
-    }
-
-    /// Applies tagged `Persist`/`Unpersist` actions to per-shard
-    /// non-volatile maps, as a sharded driver would.
-    fn apply_sharded_ledger(
-        ledgers: &mut [std::collections::BTreeMap<String, Vec<u8>>],
-        actions: &[(ShardId, Action)],
-    ) {
-        for (shard, a) in actions {
-            match a {
-                Action::Persist { key, bytes } => {
-                    ledgers[*shard].insert(key.clone(), bytes.clone());
-                }
-                Action::Unpersist { key } => {
-                    ledgers[*shard].remove(key);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// One repair cycle between two sharded engines: every publisher
-    /// shard digests its idle streams, every receiver shard scans for
-    /// aged gaps and NAKs, the publisher retransmits, the receiver
-    /// absorbs. Returns the newly released envelopes.
-    fn sharded_repair_round(
-        publisher: &mut ShardedEngine,
-        receiver: &mut ShardedEngine,
-        now: &mut Micros,
-    ) -> Vec<Envelope> {
-        let cfg_sync = publisher.config().sync_period_us;
-        let cfg_nak = receiver.config().nak_delay_us;
-        let mut released = Vec::new();
-
-        *now += cfg_sync + 1;
-        for shard in 0..publisher.shard_count() {
-            let digest_actions = untag(publisher.handle_timer(*now, shard, TimerKind::Sync));
-            for a in &digest_actions {
-                if let Action::Broadcast(Packet::SeqSync { entries }) = a {
-                    for e in entries {
-                        let actions = receiver.handle(
-                            *now,
-                            Event::Digest {
-                                entry: e.clone(),
-                                sub_at: Some(0),
-                            },
-                        );
-                        released.extend(delivered(&untag(actions)));
-                    }
-                }
-            }
-        }
-
-        *now += cfg_nak + 1;
-        for shard in 0..receiver.shard_count() {
-            let scan = untag(receiver.handle_timer(*now, shard, TimerKind::NakScan));
-            released.extend(delivered(&scan));
-            for nak in naks(&scan) {
-                let Packet::Nak {
-                    stream,
-                    subject,
-                    requester,
-                    missing,
-                } = nak
-                else {
-                    continue;
-                };
-                *now += 10;
-                let repair = untag(publisher.handle(
-                    *now,
-                    Event::Nak {
-                        stream,
-                        subject,
-                        requester,
-                        missing,
-                    },
-                ));
-                for env in broadcast_envelopes(&repair) {
-                    *now += 10;
-                    let actions = receiver.handle(
-                        *now,
-                        Event::Envelope {
-                            env,
-                            entitled: true,
-                        },
-                    );
-                    released.extend(delivered(&untag(actions)));
-                }
-            }
-        }
-        released
-    }
-
-    #[test]
-    fn routing_is_deterministic_across_restart() {
-        let mut rng = SimRng::seed_from_u64(4242);
-        let engine = ShardedEngine::new(BusConfig::default().with_shards(SHARDS), 1);
-        for i in 0..200u64 {
-            let cat = rng.gen_range_inclusive(0, 40);
-            let subject = format!("cat{cat}.sub{i}.leaf");
-            let shard = shard_of_subject(&subject, SHARDS);
-            assert_eq!(engine.shard_of(&subject), shard);
-            // A brand-new instance (a restarted daemon, another host)
-            // must route the same subject to the same shard.
-            let restarted = ShardedEngine::new(BusConfig::default().with_shards(SHARDS), 1);
-            assert_eq!(restarted.shard_of(&subject), shard);
-            // Only the first segment participates in the hash.
-            assert_eq!(
-                shard_of_subject(&format!("cat{cat}.entirely.else"), SHARDS),
-                shard
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_loss_dup_reorder_repaired_per_subject() {
-        for seed in 0..10u64 {
-            let mut rng = SimRng::seed_from_u64(99_000 + seed);
-            let cfg = BusConfig::default().with_shards(SHARDS);
-            let mut publisher = ShardedEngine::new(cfg.clone(), 1);
-            let mut receiver = ShardedEngine::new(cfg, 2);
-            let mut now: Micros = 0;
-            let n = 20 + rng.gen_range_inclusive(1, 60);
-            let source = PubSource {
-                app: "prop".into(),
-                inc: 1,
-                route: None,
-            };
-            let interned: Vec<_> = SPREAD
-                .iter()
-                .map(|s| publisher.table().intern(s).unwrap())
-                .collect();
-            let mut wire = Vec::new();
-            for i in 0..n {
-                for subject in &interned {
-                    now += 10;
-                    let actions = publisher.handle(
-                        now,
-                        Event::Publish {
-                            source: source.clone(),
-                            subject: subject.clone(),
-                            qos: QoS::Reliable,
-                            kind: EnvelopeKind::Data,
-                            corr: 0,
-                            payload: Bytes::from_vec(vec![(i & 0xff) as u8]),
-                        },
-                    );
-                    let owner = shard_of_subject(subject.as_str(), SHARDS);
-                    assert!(
-                        actions.iter().all(|(s, _)| *s == owner),
-                        "publish actions must carry the owning shard's tag"
-                    );
-                    wire.extend(broadcast_envelopes(&untag(actions)));
-                }
-            }
-            let mangled = mangle(&mut rng, wire, 0.15, 0.10);
-            let mut got = Vec::new();
-            for env in mangled {
-                now += 10;
-                let actions = receiver.handle(
-                    now,
-                    Event::Envelope {
-                        env,
-                        entitled: true,
-                    },
-                );
-                got.extend(delivered(&untag(actions)));
-            }
-            for _ in 0..64 {
-                if got.len() as u64 == n * SPREAD.len() as u64 {
-                    break;
-                }
-                got.extend(sharded_repair_round(
-                    &mut publisher,
-                    &mut receiver,
-                    &mut now,
-                ));
-            }
-            // In-order exactly-once per subject; inter-subject order is
-            // unconstrained by design.
-            let mut per_subject: HashMap<&str, Vec<u64>> = HashMap::new();
-            for env in &got {
-                per_subject
-                    .entry(SPREAD.iter().find(|s| env.subject == **s).unwrap())
-                    .or_default()
-                    .push(env.seq);
-            }
-            let expect: Vec<u64> = (1..=n).collect();
-            for subject in SPREAD {
-                assert_eq!(
-                    per_subject.get(subject),
-                    Some(&expect),
-                    "stream {subject} not in-order exactly-once (seed {seed})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn crash_restart_replays_only_one_shards_ledger() {
-        for seed in 0..5u64 {
-            let mut rng = SimRng::seed_from_u64(123_400 + seed);
-            let cfg = BusConfig::default().with_shards(SHARDS);
-            let mut publisher = ShardedEngine::new(cfg.clone(), 1);
-            let mut receiver = ShardedEngine::new(cfg.clone(), 2);
-            let mut now: Micros = 0;
-            let source = PubSource {
-                app: "prop".into(),
-                inc: 1,
-                route: None,
-            };
-            let n = 3 + rng.gen_range_inclusive(0, 9);
-            let interned: Vec<_> = SPREAD
-                .iter()
-                .map(|s| publisher.table().intern(s).unwrap())
-                .collect();
-            let mut ledgers: Vec<std::collections::BTreeMap<String, Vec<u8>>> =
-                vec![Default::default(); SHARDS];
-            for i in 0..n {
-                for subject in &interned {
-                    now += 10;
-                    let actions = publisher.handle(
-                        now,
-                        Event::Publish {
-                            source: source.clone(),
-                            subject: subject.clone(),
-                            qos: QoS::Guaranteed,
-                            kind: EnvelopeKind::Data,
-                            corr: 0,
-                            payload: Bytes::from_vec(vec![(i & 0xff) as u8]),
-                        },
-                    );
-                    apply_sharded_ledger(&mut ledgers, &actions);
-                    // The broadcasts are all "lost": nothing reaches the
-                    // receiver before the crash.
-                }
-            }
-            // Persist-before-send filed every entry under its owner.
-            for subject in SPREAD {
-                let shard = shard_of_subject(subject, SHARDS);
-                assert_eq!(
-                    ledgers[shard]
-                        .keys()
-                        .filter(|k| k.contains(subject))
-                        .count() as u64,
-                    n,
-                    "entries for {subject} must live in shard {shard}'s map"
-                );
-            }
-
-            // Crash; restart and replay ONE shard's persist map only —
-            // e.g. one store came back before the others.
-            drop(publisher);
-            let target = shard_of_subject(SPREAD[0], SHARDS);
-            let mut restarted = ShardedEngine::new(cfg, 1);
-            let table = restarted.table().clone();
-            let recovered: Vec<Envelope> = ledgers[target]
-                .values()
-                .map(|bytes| {
-                    Envelope::decode(&mut bytes.as_slice(), &table).expect("ledger entry decodes")
-                })
-                .collect();
-            let load_actions = restarted.gd_load(recovered);
-            assert!(
-                load_actions.iter().all(|(shard, _)| *shard == target),
-                "replaying shard {target}'s map must only touch shard {target}"
-            );
-            assert_eq!(
-                restarted.merged_stats().gd_pending,
-                ledgers[target].len() as u64,
-                "exactly the replayed shard's entries are pending"
-            );
-
-            // Retry rounds fan out to every shard; only the replayed
-            // shard has anything to redrive.
-            let interest: HashMap<String, Vec<u32>> = SPREAD
-                .iter()
-                .map(|s| ((*s).to_owned(), vec![2u32]))
-                .collect();
-            let untouched: Vec<std::collections::BTreeMap<String, Vec<u8>>> = ledgers
-                .iter()
-                .enumerate()
-                .filter(|(s, _)| *s != target)
-                .map(|(_, l)| l.clone())
-                .collect();
-            for _round in 0..6 {
-                now += restarted.config().gd_retry_us + 1;
-                let actions = restarted.handle(
-                    now,
-                    Event::GdRetry {
-                        interest: interest.clone(),
-                    },
-                );
-                apply_sharded_ledger(&mut ledgers, &actions);
-                for env in broadcast_envelopes(&untag(actions)) {
-                    assert!(env.redelivery, "post-restart copies must be flagged");
-                    assert_eq!(
-                        shard_of_subject(env.subject.as_str(), SHARDS),
-                        target,
-                        "unreplayed shards must not redrive anything"
-                    );
-                    now += 10;
-                    let r_actions = untag(receiver.handle(
-                        now,
-                        Event::Envelope {
-                            env,
-                            entitled: true,
-                        },
-                    ));
-                    for ack in acks(&r_actions) {
-                        let Packet::Ack {
-                            stream,
-                            subject,
-                            seq,
-                            from_host,
-                        } = ack
-                        else {
-                            continue;
-                        };
-                        now += 10;
-                        let a = restarted.handle(
-                            now,
-                            Event::Ack {
-                                stream,
-                                subject,
-                                seq,
-                                from_host,
-                            },
-                        );
-                        apply_sharded_ledger(&mut ledgers, &a);
-                    }
-                }
-                if restarted.merged_stats().gd_pending == 0 {
-                    break;
-                }
-            }
-            assert_eq!(
-                restarted.merged_stats().gd_pending,
-                0,
-                "replayed shard's ledger never drained (seed {seed})"
-            );
-            assert!(
-                ledgers[target].is_empty(),
-                "acknowledged entries must be unpersisted"
-            );
-            // The shards whose maps were not replayed stay exactly as
-            // the crash left them.
-            let after: Vec<_> = ledgers
-                .iter()
-                .enumerate()
-                .filter(|(s, _)| *s != target)
-                .map(|(_, l)| l.clone())
-                .collect();
-            assert_eq!(
-                untouched, after,
-                "unreplayed persist maps must be untouched"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Adversarial digest / NAK interleavings
 // ---------------------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 //! — round-trips through text are stable, and the wire (which carries
 //! only text) re-interns cleanly into any fresh table.
 
-use infobus_core::engine::ShardedEngine;
+use infobus_core::engine::Engine;
 use infobus_core::BusConfig;
 use infobus_netsim::SimRng;
 
@@ -28,7 +28,7 @@ fn random_subject(rng: &mut SimRng) -> String {
 fn intern_round_trips_are_stable_across_restart() {
     for seed in 0..20u64 {
         let mut rng = SimRng::seed_from_u64(500_000 + seed);
-        let engine = ShardedEngine::new(BusConfig::default(), 1);
+        let engine = Engine::new(BusConfig::default(), 1);
 
         // Intern a random subject population (with deliberate repeats).
         let mut subjects = Vec::new();
@@ -60,7 +60,7 @@ fn intern_round_trips_are_stable_across_restart() {
 
         // Restart: a fresh engine replaying the same intern sequence
         // assigns the same dense ids — recovery replay is deterministic.
-        let restarted = ShardedEngine::new(BusConfig::default(), 1);
+        let restarted = Engine::new(BusConfig::default(), 1);
         for (s, i) in subjects.iter().zip(&interned) {
             assert_eq!(
                 restarted.table().intern(s).unwrap().id(),
@@ -72,7 +72,7 @@ fn intern_round_trips_are_stable_across_restart() {
         // A restart that interns in a *different* order may assign
         // different ids — but text round-trips still hold, which is the
         // actual invariant the wire depends on.
-        let shuffled = ShardedEngine::new(BusConfig::default(), 1);
+        let shuffled = Engine::new(BusConfig::default(), 1);
         let mut order: Vec<usize> = (0..subjects.len()).collect();
         for i in (1..order.len()).rev() {
             let j = rng.gen_range_inclusive(0, i as u64) as usize;

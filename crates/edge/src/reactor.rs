@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use infobus_core::engine::{BusStats, Micros, PubSource, ShardedEngine, ShardedStats};
+use infobus_core::engine::{BusStats, Engine, Micros, PubSource};
 use infobus_core::{
     Bus, BusConfig, BusError, BusReceiver, Envelope, Predicate, QoS, SubscriptionHandle,
 };
@@ -393,16 +393,11 @@ impl ReactorBus {
         self.inner.core.publish(now, subject, value, qos)
     }
 
-    /// A snapshot of the protocol counters merged across every shard,
-    /// including the session counters and subscriber-queue gauges.
+    /// A snapshot of the protocol counters, including the session
+    /// counters and subscriber-queue gauges.
     pub fn stats(&self) -> BusStats {
-        self.sharded_stats().merged
-    }
-
-    /// The merged counter snapshot plus the per-shard breakdown.
-    pub fn sharded_stats(&self) -> ShardedStats {
-        let mut stats = self.inner.core.sharded_stats();
-        poisoned(self.inner.core.hook().broker.lock()).stats_into(&mut stats.merged);
+        let mut stats = self.inner.core.stats();
+        poisoned(self.inner.core.hook().broker.lock()).stats_into(&mut stats);
         stats
     }
 
@@ -512,7 +507,7 @@ impl Inner {
 
     /// Performs broker actions that need the engine (sends, fan-in
     /// publishes, announce updates, connection forgetting).
-    fn perform_sess_outs(&self, engine: &mut ShardedEngine, now: Micros, outs: Vec<SessOut>) {
+    fn perform_sess_outs(&self, engine: &mut Engine, now: Micros, outs: Vec<SessOut>) {
         let core = &self.core;
         for out in outs {
             match out {

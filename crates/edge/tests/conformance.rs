@@ -9,18 +9,11 @@
 //! * **in order** — per subject, deliveries arrive in publish order;
 //! * **exactly once** — no duplicates, no silent losses;
 //! * **NAK repair** — both properties hold under seeded datagram loss
-//!   (socket drivers) or a lossy fault plan (the simulator);
+//!   (socket drivers) or a lossy fault plan (the simulator).
 //!
-//! each at shard counts 1 and 4. Subjects are spread over four distinct
-//! first segments so the sharded engine actually exercises multiple
-//! shards. The contract is shard-blind: a subject's whole stream lives
-//! in exactly one shard, so every driver must deliver *identical*
-//! per-subject sequences at `shards = 1` and `shards = 4`, and
-//! per-subject order must hold across shards while inter-subject order
-//! is left explicitly unconstrained.
+//! Per-subject order is asserted over four interleaved subjects;
+//! inter-subject order is left explicitly unconstrained.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Arc;
@@ -28,8 +21,7 @@ use std::time::{Duration, Instant};
 
 use infobus_core::inproc::InprocBus;
 use infobus_core::{
-    shard_of_subject, Bus, BusApp, BusConfig, BusCtx, BusFabric, BusMessage, Delivery, Predicate,
-    QoS, SubjectMap,
+    Bus, BusApp, BusConfig, BusCtx, BusFabric, BusMessage, Delivery, Predicate, QoS, SubjectMap,
 };
 use infobus_edge::{EdgeConfig, ReactorBus, SimBus, SimConfig};
 use infobus_net::{UdpBus, UdpConfig};
@@ -38,13 +30,12 @@ use infobus_netsim::{EtherConfig, FaultPlan, NetBuilder};
 use infobus_types::{DataObject, Value};
 use infobus_wal::scratch::ScratchDir;
 
-/// Four distinct first segments → four distinct shards at `shards = 4`.
+/// Four subjects published round-robin, one stream each.
 const SUBJECTS: [&str; 4] = ["c0.feed", "c1.feed", "c2.feed", "c3.feed"];
 const PER_SUBJECT: i64 = 15;
 
-fn fast(shards: usize) -> BusConfig {
+fn fast() -> BusConfig {
     BusConfig::default()
-        .with_shards(shards)
         .with_batch_enabled(false)
         .with_nak_delay_us(2_000)
         .with_nak_check_us(1_000)
@@ -74,8 +65,8 @@ fn inproc_cfg(cfg: BusConfig) -> Harness {
     }
 }
 
-fn inproc(shards: usize) -> Harness {
-    inproc_cfg(fast(shards))
+fn inproc() -> Harness {
+    inproc_cfg(fast())
 }
 
 fn udp_cfg(cfg: BusConfig, loss: bool) -> Harness {
@@ -98,8 +89,8 @@ fn udp_cfg(cfg: BusConfig, loss: bool) -> Harness {
     }
 }
 
-fn udp(shards: usize, loss: bool) -> Harness {
-    udp_cfg(fast(shards), loss)
+fn udp(loss: bool) -> Harness {
+    udp_cfg(fast(), loss)
 }
 
 fn reactor_cfg(cfg: BusConfig, loss: bool) -> Harness {
@@ -120,8 +111,8 @@ fn reactor_cfg(cfg: BusConfig, loss: bool) -> Harness {
     }
 }
 
-fn reactor(shards: usize, loss: bool) -> Harness {
-    reactor_cfg(fast(shards), loss)
+fn reactor(loss: bool) -> Harness {
+    reactor_cfg(fast(), loss)
 }
 
 fn sim_cfg(cfg: BusConfig, lossy: bool) -> Harness {
@@ -150,8 +141,8 @@ fn sim_cfg(cfg: BusConfig, lossy: bool) -> Harness {
     }
 }
 
-fn sim(shards: usize, lossy: bool) -> Harness {
-    sim_cfg(fast(shards), lossy)
+fn sim(lossy: bool) -> Harness {
+    sim_cfg(fast(), lossy)
 }
 
 /// The shared conformance body: subscribe to all four subject groups —
@@ -244,43 +235,23 @@ fn ordered_exactly_once(h: &Harness, qos: QoS) {
 // ----- clean transport: in order, exactly once ------------------------------
 
 #[test]
-fn inproc_ordered_shard1() {
-    ordered_exactly_once(&inproc(1), QoS::Reliable);
+fn inproc_ordered() {
+    ordered_exactly_once(&inproc(), QoS::Reliable);
 }
 
 #[test]
-fn inproc_ordered_shard4() {
-    ordered_exactly_once(&inproc(4), QoS::Reliable);
+fn udp_ordered() {
+    ordered_exactly_once(&udp(false), QoS::Reliable);
 }
 
 #[test]
-fn udp_ordered_shard1() {
-    ordered_exactly_once(&udp(1, false), QoS::Reliable);
+fn reactor_ordered() {
+    ordered_exactly_once(&reactor(false), QoS::Reliable);
 }
 
 #[test]
-fn udp_ordered_shard4() {
-    ordered_exactly_once(&udp(4, false), QoS::Reliable);
-}
-
-#[test]
-fn reactor_ordered_shard1() {
-    ordered_exactly_once(&reactor(1, false), QoS::Reliable);
-}
-
-#[test]
-fn reactor_ordered_shard4() {
-    ordered_exactly_once(&reactor(4, false), QoS::Reliable);
-}
-
-#[test]
-fn sim_ordered_shard1() {
-    ordered_exactly_once(&sim(1, false), QoS::Reliable);
-}
-
-#[test]
-fn sim_ordered_shard4() {
-    ordered_exactly_once(&sim(4, false), QoS::Reliable);
+fn sim_ordered() {
+    ordered_exactly_once(&sim(false), QoS::Reliable);
 }
 
 // ----- lossy transport: NAK repair restores both properties -----------------
@@ -296,146 +267,25 @@ fn nak_repaired(h: &Harness) {
 }
 
 #[test]
-fn udp_nak_repair_shard1() {
-    nak_repaired(&udp(1, true));
+fn udp_nak_repair() {
+    nak_repaired(&udp(true));
 }
 
 #[test]
-fn udp_nak_repair_shard4() {
-    nak_repaired(&udp(4, true));
+fn reactor_nak_repair() {
+    nak_repaired(&reactor(true));
 }
 
 #[test]
-fn reactor_nak_repair_shard1() {
-    nak_repaired(&reactor(1, true));
-}
-
-#[test]
-fn reactor_nak_repair_shard4() {
-    nak_repaired(&reactor(4, true));
-}
-
-#[test]
-fn sim_lossy_shard1() {
-    nak_repaired(&sim(1, true));
-}
-
-#[test]
-fn sim_lossy_shard4() {
-    nak_repaired(&sim(4, true));
-}
-
-// ----- shard-blindness: same sequences at any shard count -------------------
-
-/// Long enough streams that a sharding bug has room to reorder.
-const LONG: i64 = 120;
-
-/// Publishes `0..LONG` on each of `subjects` round-robin through one
-/// catch-all subscription and returns what arrived, per subject, in
-/// arrival order.
-fn collect_streams(h: &Harness, subjects: &[&str]) -> BTreeMap<String, Vec<i64>> {
-    let (_sub, rx) = h.subscriber.subscribe(">").unwrap();
-    std::thread::sleep(h.settle);
-    for seq in 0..LONG {
-        for subject in subjects {
-            h.publisher
-                .publish(subject, &Value::I64(seq), QoS::Reliable)
-                .unwrap();
-        }
-    }
-    h.publisher.drain();
-    h.subscriber.drain();
-    let mut by_subject: BTreeMap<String, Vec<i64>> = BTreeMap::new();
-    for _ in 0..subjects.len() * LONG as usize {
-        let msg = rx
-            .recv_timeout(Duration::from_secs(60))
-            .unwrap_or_else(|e| panic!("streams incomplete at {by_subject:?}: {e}"));
-        by_subject
-            .entry(msg.subject.as_str().to_owned())
-            .or_default()
-            .push(seq_of(&msg));
-    }
-    by_subject
-}
-
-/// Every subject's stream is exactly `0..LONG`: in order, complete, no
-/// duplicates. Never compares across subjects.
-fn assert_streams_exact(by_subject: &BTreeMap<String, Vec<i64>>, subjects: &[&str]) {
-    let want: Vec<i64> = (0..LONG).collect();
-    for subject in subjects {
-        assert_eq!(
-            by_subject.get(*subject),
-            Some(&want),
-            "stream {subject} not in-order exactly-once"
-        );
-    }
-}
-
-fn sharded_matches_unsharded(make: &dyn Fn(usize) -> Harness) {
-    let one = collect_streams(&make(1), &SUBJECTS);
-    let four = collect_streams(&make(4), &SUBJECTS);
-    assert_streams_exact(&one, &SUBJECTS);
-    assert_eq!(one, four, "shard count changed the delivered sequences");
-}
-
-#[test]
-fn inproc_sharded_matches_unsharded() {
-    sharded_matches_unsharded(&inproc);
-}
-
-#[test]
-fn udp_sharded_matches_unsharded() {
-    sharded_matches_unsharded(&|shards| udp(shards, false));
-}
-
-#[test]
-fn reactor_sharded_matches_unsharded() {
-    sharded_matches_unsharded(&|shards| reactor(shards, false));
-}
-
-#[test]
-fn sim_sharded_matches_unsharded() {
-    sharded_matches_unsharded(&|shards| sim(shards, false));
-}
-
-/// Subjects with distinct first segments, so a 4-shard engine routes
-/// them to different shards (asserted, not assumed).
-const SPREAD: [&str; 4] = ["alpha.ticks", "bravo.ticks", "charlie.ticks", "delta.ticks"];
-
-fn cross_shard_per_subject_order(h: &Harness) {
-    let hit: BTreeSet<usize> = SPREAD.iter().map(|s| shard_of_subject(s, 4)).collect();
-    assert!(
-        hit.len() >= 2,
-        "spread subjects all landed in one shard; the case proves nothing"
-    );
-    assert_streams_exact(&collect_streams(h, &SPREAD), &SPREAD);
-}
-
-#[test]
-fn inproc_cross_shard_per_subject_order() {
-    cross_shard_per_subject_order(&inproc(4));
-}
-
-#[test]
-fn udp_cross_shard_per_subject_order() {
-    cross_shard_per_subject_order(&udp(4, false));
-}
-
-#[test]
-fn reactor_cross_shard_per_subject_order() {
-    cross_shard_per_subject_order(&reactor(4, false));
-}
-
-#[test]
-fn sim_cross_shard_per_subject_order() {
-    cross_shard_per_subject_order(&sim(4, false));
+fn sim_lossy() {
+    nak_repaired(&sim(true));
 }
 
 // ----- guaranteed delivery through the trait --------------------------------
 
 #[test]
 fn guaranteed_qos_all_drivers() {
-    for h in [inproc(4), udp(4, false), reactor(4, false), sim(4, false)] {
+    for h in [inproc(), udp(false), reactor(false), sim(false)] {
         ordered_exactly_once(&h, QoS::Guaranteed);
     }
 }
@@ -445,37 +295,36 @@ fn guaranteed_qos_all_drivers() {
 // Every wall-clock driver of the trait accepts a durable ledger
 // directory; a bus that dies with guaranteed envelopes unacknowledged
 // must replay them — and only them — when reopened over the same
-// directory. Recovery is per shard: wiping one `shard-<n>` directory
-// loses exactly that shard's slice, never its neighbours'.
+// directory.
 
-fn durable_inproc(dir: &Path, shards: usize) -> Arc<dyn Bus> {
-    Arc::new(InprocBus::with_config(fast(shards).with_durable_dir(dir)))
+fn durable_inproc(dir: &Path) -> Arc<dyn Bus> {
+    Arc::new(InprocBus::with_config(fast().with_durable_dir(dir)))
 }
 
-fn durable_udp(dir: &Path, shards: usize) -> Arc<dyn Bus> {
+fn durable_udp(dir: &Path) -> Arc<dyn Bus> {
     let cfg = UdpConfig::new(9)
-        .with_bus(fast(shards).with_durable_dir(dir))
+        .with_bus(fast().with_durable_dir(dir))
         .with_app("dur");
     Arc::new(UdpBus::bind(cfg).unwrap())
 }
 
-fn durable_reactor(dir: &Path, shards: usize) -> Arc<dyn Bus> {
+fn durable_reactor(dir: &Path) -> Arc<dyn Bus> {
     let cfg = EdgeConfig::new(9)
-        .with_bus(fast(shards).with_durable_dir(dir))
+        .with_bus(fast().with_durable_dir(dir))
         .with_app("dur");
     Arc::new(ReactorBus::bind(cfg).unwrap())
 }
 
 /// The shared durable-restart body: publish orphaned guaranteed
 /// messages (no subscriber anywhere, so nothing can acknowledge them),
-/// drop the bus, and check that restarts over the same directory replay
-/// the ledger — all of it, then all of it minus a wiped shard.
-fn durable_restart_replays(make: &dyn Fn(&Path, usize) -> Arc<dyn Bus>, shards: usize) {
+/// drop the bus, and check that a restart over the same directory
+/// replays the whole ledger.
+fn durable_restart_replays(make: &dyn Fn(&Path) -> Arc<dyn Bus>) {
     let scratch = ScratchDir::new("conf-durable");
     let dir = scratch.path();
     let total = (SUBJECTS.len() as i64 * PER_SUBJECT) as u64;
     {
-        let bus = make(dir, shards);
+        let bus = make(dir);
         for seq in 0..PER_SUBJECT {
             for subject in SUBJECTS {
                 bus.publish(subject, &Value::I64(seq), QoS::Guaranteed)
@@ -490,76 +339,37 @@ fn durable_restart_replays(make: &dyn Fn(&Path, usize) -> Arc<dyn Bus>, shards: 
         );
         assert!(stats.gd_ledger_appends >= total);
     }
-    // First restart: every shard replays its slice of the ledger.
-    {
-        let bus = make(dir, shards);
-        let stats = bus.stats();
-        assert_eq!(stats.gd_pending, total, "restart must replay the ledger");
-        assert!(stats.gd_ledger_recovered >= total);
-    }
-    // Wipe one shard's directory: the next restart replays only the
-    // surviving shards' ledgers — recovery is per shard, not
-    // all-or-nothing.
-    let victim = shard_of_subject(SUBJECTS[0], shards);
-    let lost = SUBJECTS
-        .iter()
-        .filter(|s| shard_of_subject(s, shards) == victim)
-        .count() as u64
-        * PER_SUBJECT as u64;
-    fs::remove_dir_all(dir.join(format!("shard-{victim}"))).unwrap();
-    let bus = make(dir, shards);
-    assert_eq!(
-        bus.stats().gd_pending,
-        total - lost,
-        "wiping shard {victim} must lose exactly that shard's slice"
-    );
-    if shards > 1 {
-        assert!(lost < total, "spread subjects collapsed into one shard");
-    }
+    let bus = make(dir);
+    let stats = bus.stats();
+    assert_eq!(stats.gd_pending, total, "restart must replay the ledger");
+    assert!(stats.gd_ledger_recovered >= total);
 }
 
 #[test]
-fn inproc_durable_restart_shard1() {
-    durable_restart_replays(&durable_inproc, 1);
+fn inproc_durable_restart() {
+    durable_restart_replays(&durable_inproc);
 }
 
 #[test]
-fn inproc_durable_restart_shard4() {
-    durable_restart_replays(&durable_inproc, 4);
+fn udp_durable_restart() {
+    durable_restart_replays(&durable_udp);
 }
 
 #[test]
-fn udp_durable_restart_shard1() {
-    durable_restart_replays(&durable_udp, 1);
+fn reactor_durable_restart() {
+    durable_restart_replays(&durable_reactor);
 }
 
-#[test]
-fn udp_durable_restart_shard4() {
-    durable_restart_replays(&durable_udp, 4);
-}
-
-#[test]
-fn reactor_durable_restart_shard1() {
-    durable_restart_replays(&durable_reactor, 1);
-}
-
-#[test]
-fn reactor_durable_restart_shard4() {
-    durable_restart_replays(&durable_reactor, 4);
-}
-
-/// Subject-level version of the wipe for the socket drivers: after one
-/// shard's directory is destroyed, a restarted publisher facing a live
-/// subscriber redelivers every *surviving* subject (flagged as
-/// redelivery) and nothing on the wiped shard's subject — then its
-/// ledger drains to empty.
-fn durable_wipe_redelivers_survivors(
+/// The socket drivers' end-to-end restart: a publisher that died with
+/// every subject's guaranteed entry unacknowledged, restarted facing a
+/// live subscriber, redelivers each of them (flagged as redelivery) —
+/// then its ledger drains to empty.
+fn durable_restart_redelivers(
     orphan: &dyn Fn(&Path) -> Arc<dyn Bus>,
     subscriber: &dyn Fn() -> (Arc<dyn Bus>, SocketAddr),
     restart: &dyn Fn(&Path, SocketAddr) -> Arc<dyn Bus>,
 ) {
-    const SHARDS: usize = 4;
-    let scratch = ScratchDir::new("conf-durable-wipe");
+    let scratch = ScratchDir::new("conf-durable-redeliver");
     let dir = scratch.path();
     {
         let bus = orphan(dir);
@@ -570,8 +380,6 @@ fn durable_wipe_redelivers_survivors(
         bus.drain();
         assert_eq!(bus.stats().gd_pending, SUBJECTS.len() as u64);
     }
-    let victim = shard_of_subject(SUBJECTS[0], SHARDS);
-    fs::remove_dir_all(dir.join(format!("shard-{victim}"))).unwrap();
 
     // Subscribe before the publisher exists, so the announce the
     // publisher's peer handshake elicits already carries the interest.
@@ -583,8 +391,8 @@ fn durable_wipe_redelivers_survivors(
     }
     let publisher = restart(dir, sub_addr);
 
-    // The replayed ledger must drain: every surviving entry delivered
-    // and acknowledged.
+    // The replayed ledger must drain: every entry delivered and
+    // acknowledged.
     let end = Instant::now() + Duration::from_secs(30);
     while publisher.stats().gd_pending > 0 {
         assert!(Instant::now() < end, "replayed ledger never drained");
@@ -594,36 +402,27 @@ fn durable_wipe_redelivers_survivors(
     sub.drain();
     for (i, rx) in rxs.iter().enumerate() {
         let msgs: Vec<_> = rx.try_iter().collect();
-        let on_victim = shard_of_subject(SUBJECTS[i], SHARDS) == victim;
-        if on_victim {
-            assert!(
-                msgs.is_empty(),
-                "{}: wiped shard's subject was redelivered",
-                SUBJECTS[i]
-            );
-        } else {
-            assert!(
-                msgs.iter().any(|m| m.redelivery),
-                "{}: surviving entry never redelivered",
-                SUBJECTS[i]
-            );
-        }
+        assert!(
+            msgs.iter().any(|m| m.redelivery),
+            "{}: recovered entry never redelivered",
+            SUBJECTS[i]
+        );
     }
 }
 
 #[test]
-fn udp_durable_wipe_redelivers_survivors() {
-    durable_wipe_redelivers_survivors(
-        &|dir| durable_udp(dir, 4),
+fn udp_durable_restart_redelivers() {
+    durable_restart_redelivers(
+        &durable_udp,
         &|| {
-            let s = UdpBus::bind(UdpConfig::new(8).with_bus(fast(4)).with_app("wsub")).unwrap();
+            let s = UdpBus::bind(UdpConfig::new(8).with_bus(fast()).with_app("wsub")).unwrap();
             let addr = s.local_addr();
             (Arc::new(s) as Arc<dyn Bus>, addr)
         },
         &|dir, addr| {
             let p = UdpBus::bind(
                 UdpConfig::new(9)
-                    .with_bus(fast(4).with_durable_dir(dir))
+                    .with_bus(fast().with_durable_dir(dir))
                     .with_app("dur"),
             )
             .unwrap();
@@ -634,19 +433,18 @@ fn udp_durable_wipe_redelivers_survivors() {
 }
 
 #[test]
-fn reactor_durable_wipe_redelivers_survivors() {
-    durable_wipe_redelivers_survivors(
-        &|dir| durable_reactor(dir, 4),
+fn reactor_durable_restart_redelivers() {
+    durable_restart_redelivers(
+        &durable_reactor,
         &|| {
-            let s =
-                ReactorBus::bind(EdgeConfig::new(8).with_bus(fast(4)).with_app("wsub")).unwrap();
+            let s = ReactorBus::bind(EdgeConfig::new(8).with_bus(fast()).with_app("wsub")).unwrap();
             let addr = s.local_addr();
             (Arc::new(s) as Arc<dyn Bus>, addr)
         },
         &|dir, addr| {
             let p = ReactorBus::bind(
                 EdgeConfig::new(9)
-                    .with_bus(fast(4).with_durable_dir(dir))
+                    .with_bus(fast().with_durable_dir(dir))
                     .with_app("dur"),
             )
             .unwrap();
@@ -780,43 +578,23 @@ fn filtered_ordered_exactly_once(h: &Harness, qos: QoS) {
 }
 
 #[test]
-fn inproc_filtered_shard1() {
-    filtered_ordered_exactly_once(&inproc(1), QoS::Reliable);
+fn inproc_filtered() {
+    filtered_ordered_exactly_once(&inproc(), QoS::Reliable);
 }
 
 #[test]
-fn inproc_filtered_shard4() {
-    filtered_ordered_exactly_once(&inproc(4), QoS::Reliable);
+fn udp_filtered() {
+    filtered_ordered_exactly_once(&udp(false), QoS::Reliable);
 }
 
 #[test]
-fn udp_filtered_shard1() {
-    filtered_ordered_exactly_once(&udp(1, false), QoS::Reliable);
+fn reactor_filtered() {
+    filtered_ordered_exactly_once(&reactor(false), QoS::Reliable);
 }
 
 #[test]
-fn udp_filtered_shard4() {
-    filtered_ordered_exactly_once(&udp(4, false), QoS::Reliable);
-}
-
-#[test]
-fn reactor_filtered_shard1() {
-    filtered_ordered_exactly_once(&reactor(1, false), QoS::Reliable);
-}
-
-#[test]
-fn reactor_filtered_shard4() {
-    filtered_ordered_exactly_once(&reactor(4, false), QoS::Reliable);
-}
-
-#[test]
-fn sim_filtered_shard1() {
-    filtered_ordered_exactly_once(&sim(1, false), QoS::Reliable);
-}
-
-#[test]
-fn sim_filtered_shard4() {
-    filtered_ordered_exactly_once(&sim(4, false), QoS::Reliable);
+fn sim_filtered() {
+    filtered_ordered_exactly_once(&sim(false), QoS::Reliable);
 }
 
 /// Guaranteed-QoS filtered streams: the accepted suffix must arrive
@@ -825,7 +603,7 @@ fn sim_filtered_shard4() {
 /// never as an undeliverable envelope stuck in retry.
 #[test]
 fn filtered_guaranteed_all_drivers() {
-    for h in [inproc(4), udp(4, false), reactor(4, false), sim(4, false)] {
+    for h in [inproc(), udp(false), reactor(false), sim(false)] {
         filtered_ordered_exactly_once(&h, QoS::Guaranteed);
         let end = Instant::now() + Duration::from_secs(30);
         while h.publisher.stats().gd_pending > 0 {
@@ -845,7 +623,7 @@ fn filtered_guaranteed_all_drivers() {
 /// must show the suppression that the subscriber never saw.
 #[test]
 fn udp_filtered_suppresses_at_publisher() {
-    let h = udp(4, false);
+    let h = udp(false);
     filtered_ordered_exactly_once(&h, QoS::Reliable);
     let stats = h.publisher.stats();
     assert!(
@@ -857,7 +635,7 @@ fn udp_filtered_suppresses_at_publisher() {
 
 #[test]
 fn reactor_filtered_suppresses_at_publisher() {
-    let h = reactor(4, false);
+    let h = reactor(false);
     filtered_ordered_exactly_once(&h, QoS::Reliable);
     let stats = h.publisher.stats();
     assert!(
@@ -870,18 +648,18 @@ fn reactor_filtered_suppresses_at_publisher() {
 /// NAK repair under seeded loss must restore exactly the accepted
 /// suffix — retransmission never resurrects a suppressed publication.
 #[test]
-fn udp_filtered_nak_repair_shard4() {
-    filtered_ordered_exactly_once(&udp(4, true), QoS::Reliable);
+fn udp_filtered_nak_repair() {
+    filtered_ordered_exactly_once(&udp(true), QoS::Reliable);
 }
 
 #[test]
-fn reactor_filtered_nak_repair_shard4() {
-    filtered_ordered_exactly_once(&reactor(4, true), QoS::Reliable);
+fn reactor_filtered_nak_repair() {
+    filtered_ordered_exactly_once(&reactor(true), QoS::Reliable);
 }
 
 #[test]
-fn sim_filtered_lossy_shard4() {
-    filtered_ordered_exactly_once(&sim(4, true), QoS::Reliable);
+fn sim_filtered_lossy() {
+    filtered_ordered_exactly_once(&sim(true), QoS::Reliable);
 }
 
 // ---------------------------------------------------------------------------
@@ -893,10 +671,10 @@ fn sim_filtered_lossy_shard4() {
 // either side converges on one stream, always delivered under the
 // canonical subject.
 
-fn semantic_cfg(shards: usize) -> BusConfig {
+fn semantic_cfg() -> BusConfig {
     let mut map = SubjectMap::new();
     map.add_alias("nyse.ibm", "tech.ibm").unwrap();
-    fast(shards).with_subject_map(Arc::new(map))
+    fast().with_subject_map(Arc::new(map))
 }
 
 fn semantic_alias_converges(h: &Harness) {
@@ -929,22 +707,22 @@ fn semantic_alias_converges(h: &Harness) {
 
 #[test]
 fn inproc_semantic_alias() {
-    semantic_alias_converges(&inproc_cfg(semantic_cfg(4)));
+    semantic_alias_converges(&inproc_cfg(semantic_cfg()));
 }
 
 #[test]
 fn udp_semantic_alias() {
-    semantic_alias_converges(&udp_cfg(semantic_cfg(4), false));
+    semantic_alias_converges(&udp_cfg(semantic_cfg(), false));
 }
 
 #[test]
 fn reactor_semantic_alias() {
-    semantic_alias_converges(&reactor_cfg(semantic_cfg(4), false));
+    semantic_alias_converges(&reactor_cfg(semantic_cfg(), false));
 }
 
 #[test]
 fn sim_semantic_alias() {
-    semantic_alias_converges(&sim_cfg(semantic_cfg(4), false));
+    semantic_alias_converges(&sim_cfg(semantic_cfg(), false));
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,8 +782,8 @@ fn attribute_predicate_gates_remote_publisher(publisher: &dyn Bus, subscriber: &
 
 #[test]
 fn udp_attribute_predicate() {
-    let p = UdpBus::bind(UdpConfig::new(1).with_bus(fast(2)).with_app("pub")).unwrap();
-    let s = UdpBus::bind(UdpConfig::new(2).with_bus(fast(2)).with_app("sub")).unwrap();
+    let p = UdpBus::bind(UdpConfig::new(1).with_bus(fast()).with_app("pub")).unwrap();
+    let s = UdpBus::bind(UdpConfig::new(2).with_bus(fast()).with_app("sub")).unwrap();
     p.add_peer(2, s.local_addr()).unwrap();
     s.add_peer(1, p.local_addr()).unwrap();
     p.register_type(quote_descriptor()).unwrap();
@@ -1014,8 +792,8 @@ fn udp_attribute_predicate() {
 
 #[test]
 fn reactor_attribute_predicate() {
-    let p = ReactorBus::bind(EdgeConfig::new(1).with_bus(fast(2)).with_app("pub")).unwrap();
-    let s = ReactorBus::bind(EdgeConfig::new(2).with_bus(fast(2)).with_app("sub")).unwrap();
+    let p = ReactorBus::bind(EdgeConfig::new(1).with_bus(fast()).with_app("pub")).unwrap();
+    let s = ReactorBus::bind(EdgeConfig::new(2).with_bus(fast()).with_app("sub")).unwrap();
     p.add_peer(2, s.local_addr()).unwrap();
     s.add_peer(1, p.local_addr()).unwrap();
     p.register_type(quote_descriptor()).unwrap();

@@ -18,10 +18,9 @@
 //!   prefix of the published stream: nothing durably logged is lost;
 //! * loss injection and the SIGKILL both actually fired.
 //!
-//! `INFOBUS_SHARDS` selects the engine shard count (CI runs 1 and 4);
-//! data subjects cycle four first-segments so shards >1 spread the
-//! ledger across shard directories. `INFOBUS_KILL_AFTER` (default 40)
-//! is the seeded kill offset. CI runs this under a timeout.
+//! Data subjects cycle four streams through the one ledger.
+//! `INFOBUS_KILL_AFTER` (default 40) is the seeded kill offset. CI runs
+//! this under a timeout.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -37,8 +36,7 @@ const DEADLINE: Duration = Duration::from_secs(60);
 /// Child-side hard cap on the published stream: the parent is expected
 /// to SIGKILL long before this.
 const STREAM_CAP: i64 = 100_000;
-/// Data subjects cycle these four first-segments so a sharded engine
-/// spreads the ledger across shard directories.
+/// Data subjects cycle these four streams.
 const FAMILIES: [&str; 4] = ["gda", "gdb", "gdc", "gdd"];
 
 fn subject_of(i: i64) -> String {
@@ -46,10 +44,6 @@ fn subject_of(i: i64) -> String {
 }
 
 fn smoke_cfg(ledger: &Path) -> BusConfig {
-    let shards = std::env::var("INFOBUS_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
     BusConfig::default()
         .with_batch_enabled(false)
         .with_nak_delay_us(5_000)
@@ -58,7 +52,6 @@ fn smoke_cfg(ledger: &Path) -> BusConfig {
         .with_gd_retry_us(25_000)
         .with_announce_period_us(25_000)
         .with_retain_per_stream(4096)
-        .with_shards(shards)
         .with_durable_dir(ledger)
 }
 

@@ -22,13 +22,7 @@ const GUARANTEED_COUNT: i64 = 50;
 const DEADLINE: Duration = Duration::from_secs(60);
 
 /// Protocol timers tightened so repair converges in smoke-test time.
-/// `INFOBUS_SHARDS` selects the engine shard count (default 1); the
-/// child inherits the environment, so both processes agree.
 fn smoke_cfg() -> BusConfig {
-    let shards = std::env::var("INFOBUS_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
     BusConfig::default()
         .with_batch_enabled(false)
         .with_nak_delay_us(5_000)
@@ -36,7 +30,6 @@ fn smoke_cfg() -> BusConfig {
         .with_sync_period_us(25_000)
         .with_gd_retry_us(25_000)
         .with_retain_per_stream(4096)
-        .with_shards(shards)
 }
 
 fn main() {

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use infobus_core::engine::{BusStats, ShardedStats};
+use infobus_core::engine::BusStats;
 use infobus_core::queue::SubReceiver;
 use infobus_core::router::RouteStamp;
 use infobus_core::{
@@ -367,18 +367,10 @@ impl UdpBus {
         self.inner.core.peer_filters()
     }
 
-    /// A snapshot of the protocol counters merged across every shard,
-    /// including the socket-level `net_*` counters and subscriber-queue
-    /// gauges.
+    /// A snapshot of the protocol counters, including the socket-level
+    /// `net_*` counters and subscriber-queue gauges.
     pub fn stats(&self) -> BusStats {
-        self.sharded_stats().merged
-    }
-
-    /// The merged counter snapshot plus the per-shard breakdown (the
-    /// merged view carries the subscriber-queue gauges, which are not
-    /// attributable to a single shard).
-    pub fn sharded_stats(&self) -> ShardedStats {
-        self.inner.core.sharded_stats()
+        self.inner.core.stats()
     }
 
     /// Stops the reader thread and closes the socket — what dropping the

@@ -4,11 +4,11 @@
 //! [`UdpBus`](crate::UdpBus) (blocking `recv`, lowest latency) and the
 //! edge crate's `ReactorBus` (drain-then-sleep, lowest CPU) are the same
 //! daemon around two different loops. A [`DriverCore`] is that daemon:
-//! the [`ShardedEngine`] behind a mutex, the local subscription trie,
+//! the [`Engine`] behind a mutex, the local subscription trie,
 //! the peer address map and [`PeerTable`], the publish gate, marshalling,
 //! fan-out, guaranteed-delivery interest, subscription announcements and
 //! their periodic refresh, the [`TimerWheel`], the [`NvStore`], and the
-//! one [`Transport`] implementation that performs engine actions. Like
+//! [`Transport`] that [`run_actions`] performs engine actions on. Like
 //! the engine it never reads a clock — every entry point takes
 //! `now: Micros` — and never touches a socket. A shell owns the socket,
 //! the clock and the thread, and reaches the rest of the world through
@@ -37,8 +37,7 @@ use infobus_core::engine::filter::{
     announced_predicate, approx_wire_bytes, interest_accepts, FilterCounters,
 };
 use infobus_core::engine::{
-    run_sharded_actions, Action, BusStats, Event, Micros, PubSource, ShardId, ShardTransport,
-    ShardedEngine, ShardedStats, TimerKind, Transport,
+    run_actions, Action, BusStats, Engine, Event, Micros, PubSource, TimerKind, Transport,
 };
 use infobus_core::msg::{AnnounceEntry, Packet};
 use infobus_core::queue::{sub_queue, SubSender};
@@ -177,8 +176,8 @@ pub struct DriverCore<S, H> {
     pool: BufPool,
     sink: S,
     hook: H,
-    /// The protocol engine, sharded by the subject's first segment.
-    engine: Mutex<ShardedEngine>,
+    /// The protocol engine; its counters include the driver's own.
+    engine: Mutex<Engine>,
     trie: RwLock<SubjectTrie<SubEntry>>,
     registry: Mutex<TypeRegistry>,
     timers: Mutex<TimerWheel>,
@@ -198,8 +197,8 @@ pub struct DriverCore<S, H> {
     /// run on caller and I/O threads alike).
     filt: FilterCounters,
     /// Guaranteed-delivery non-volatile store: in-memory by default, a
-    /// per-shard write-ahead ledger when [`BusConfig::durable_dir`] is
-    /// set (replayed into the engine at open).
+    /// write-ahead ledger when [`BusConfig::durable_dir`] is set
+    /// (replayed into the engine at open).
     nv: Mutex<NvStore>,
     broadcast: Option<SocketAddr>,
     no_local_echo: bool,
@@ -233,13 +232,12 @@ impl<S: DatagramSink, H: LocalInterest> DriverCore<S, H> {
         // dying.
         let nv = NvStore::open(&setup.bus).map_err(net_err)?;
         let queue_cap = setup.bus.subscriber_queue_cap;
-        let shards = setup.bus.shards.max(1);
         let announce_us = setup.bus.announce_period_us;
         let pool = BufPool::with_slots(setup.bus.marshal_pool_slots());
         let semantic = setup.bus.semantic_map().cloned();
         // The engine owns the daemon-wide subject intern table; ledger
         // recovery interns its replayed subjects into it.
-        let engine = ShardedEngine::new(setup.bus, setup.host);
+        let engine = Engine::new(setup.bus, setup.host);
         let recovered = nv.recovered_envelopes(engine.table()).map_err(net_err)?;
         let core = DriverCore {
             host: setup.host,
@@ -254,7 +252,7 @@ impl<S: DatagramSink, H: LocalInterest> DriverCore<S, H> {
             engine: Mutex::new(engine),
             trie: RwLock::new(SubjectTrie::new()),
             registry: Mutex::new(TypeRegistry::with_fundamentals()),
-            timers: Mutex::new(TimerWheel::new(shards)),
+            timers: Mutex::new(TimerWheel::new()),
             peers: RwLock::new(setup.peers.into_iter().collect()),
             peer_subs: Mutex::new(PeerTable::new()),
             semantic,
@@ -274,13 +272,9 @@ impl<S: DatagramSink, H: LocalInterest> DriverCore<S, H> {
             let mut engine = core.engine();
             let (nak, sync) = (engine.config().nak_check_us, engine.config().sync_period_us);
             {
-                // Every shard scans its own gaps and digests its own
-                // idle streams.
                 let mut wheel = poisoned(core.timers.lock());
-                for shard in 0..engine.shard_count() {
-                    wheel.arm(now + nak, shard, TimerKind::NakScan);
-                    wheel.arm(now + sync, shard, TimerKind::Sync);
-                }
+                wheel.arm(now + nak, TimerKind::NakScan);
+                wheel.arm(now + sync, TimerKind::Sync);
             }
             let host = core.host;
             core.broadcast_packet(&Packet::SubResync { host }, &mut engine.stats);
@@ -310,8 +304,8 @@ impl<S: DatagramSink, H: LocalInterest> DriverCore<S, H> {
     }
 
     /// Locks the engine. First in the lock order: take it before any
-    /// other core method that wants `&mut ShardedEngine` or its stats.
-    pub fn engine(&self) -> MutexGuard<'_, ShardedEngine> {
+    /// other core method that wants `&mut Engine` or its stats.
+    pub fn engine(&self) -> MutexGuard<'_, Engine> {
         poisoned(self.engine.lock())
     }
 
@@ -490,18 +484,17 @@ impl<S: DatagramSink, H: LocalInterest> DriverCore<S, H> {
         poisoned(self.peer_subs.lock()).filters()
     }
 
-    /// The merged counter snapshot plus the per-shard breakdown (the
-    /// merged view carries the subscriber-queue gauges, which are not
-    /// attributable to a single shard).
-    pub fn sharded_stats(&self) -> ShardedStats {
-        let mut stats = self.engine().sharded_stats();
+    /// A snapshot of the protocol counters, with the subscriber-queue
+    /// gauges, the filter counters and the ledger counters folded in.
+    pub fn stats(&self) -> BusStats {
+        let mut stats = self.engine().stats.clone();
         let trie = poisoned(self.trie.read());
         let mut depth = 0u64;
         trie.for_each(|_, _, e| depth += e.tx.queued() as u64);
-        stats.merged.sub_queue_depth = depth;
-        stats.merged.sub_queue_dropped = self.queue_dropped.load(Ordering::Relaxed);
-        self.filt.fold_into(&mut stats.merged);
-        poisoned(self.nv.lock()).stamp_stats(&mut stats.merged);
+        stats.sub_queue_depth = depth;
+        stats.sub_queue_dropped = self.queue_dropped.load(Ordering::Relaxed);
+        self.filt.fold_into(&mut stats);
+        poisoned(self.nv.lock()).stamp_stats(&mut stats);
         stats
     }
 
@@ -626,7 +619,7 @@ impl<S: DatagramSink, H: LocalInterest> DriverCore<S, H> {
     /// [`BusError::Subject`] if `subject` is invalid.
     pub fn publish_payload(
         &self,
-        engine: &mut ShardedEngine,
+        engine: &mut Engine,
         now: Micros,
         subject: &str,
         payload: Bytes,
@@ -706,14 +699,9 @@ impl<S: DatagramSink, H: LocalInterest> DriverCore<S, H> {
 
     // ----- engine plumbing --------------------------------------------------
 
-    /// Performs a batch of shard-tagged engine actions and reports
-    /// guaranteed local deliveries back to the engine.
-    fn run_engine_actions(
-        &self,
-        engine: &mut ShardedEngine,
-        now: Micros,
-        actions: Vec<(ShardId, Action)>,
-    ) {
+    /// Performs a batch of engine actions and reports guaranteed local
+    /// deliveries back to the engine.
+    fn run_engine_actions(&self, engine: &mut Engine, now: Micros, actions: Vec<Action>) {
         if actions.is_empty() {
             return;
         }
@@ -723,7 +711,7 @@ impl<S: DatagramSink, H: LocalInterest> DriverCore<S, H> {
             stats: &mut engine.stats,
             gd_done: Vec::new(),
         };
-        run_sharded_actions(actions, &mut t);
+        run_actions(actions, &mut t);
         let gd_done = t.gd_done;
         for env in &gd_done {
             engine.gd_local_done(env);
@@ -804,10 +792,8 @@ impl<S: DatagramSink, H: LocalInterest> DriverCore<S, H> {
 
     /// Per-subject interested hosts for a guaranteed-delivery retry
     /// round, from announced remote tables. Local interest is handled
-    /// via [`ShardedEngine::gd_local_done`], so self is excluded. The
-    /// interest map spans every shard's ledger; each shard only
-    /// consults the subjects its own slice holds.
-    fn gd_interest(&self, engine: &ShardedEngine) -> HashMap<String, Vec<u32>> {
+    /// via [`Engine::gd_local_done`], so self is excluded.
+    fn gd_interest(&self, engine: &Engine) -> HashMap<String, Vec<u32>> {
         let peer_subs = poisoned(self.peer_subs.lock());
         let mut interest = HashMap::new();
         for text in engine.gd_subjects() {
@@ -842,14 +828,14 @@ impl<S: DatagramSink, H: LocalInterest> DriverCore<S, H> {
             return false;
         }
         let mut engine = self.engine();
-        for (shard, kind) in due {
-            let actions = match kind {
-                TimerKind::GdRetry => {
-                    let interest = self.gd_interest(&engine);
-                    engine.handle_gd_retry(now, shard, interest)
-                }
-                other => engine.handle_timer(now, shard, other),
+        for kind in due {
+            let event = match kind {
+                TimerKind::GdRetry => Event::GdRetry {
+                    interest: self.gd_interest(&engine),
+                },
+                other => Event::Timer(other),
             };
+            let actions = engine.handle(now, event);
             self.run_engine_actions(&mut engine, now, actions);
         }
         true
@@ -961,16 +947,15 @@ impl<S: DatagramSink, H: LocalInterest> DriverCore<S, H> {
     }
 }
 
-/// The [`Transport`] the core hands to [`run_sharded_actions`]: performs
-/// engine actions against the sink, the timer wheel, the ledger, the
-/// subscriber queues and the hook.
+/// The [`Transport`] the core hands to [`run_actions`]: performs engine
+/// actions against the sink, the timer wheel, the ledger, the subscriber
+/// queues and the hook.
 struct CoreTransport<'a, S, H> {
     core: &'a DriverCore<S, H>,
     now: Micros,
     stats: &'a mut BusStats,
     /// Guaranteed envelopes locally delivered during this batch, to be
-    /// reported back via [`ShardedEngine::gd_local_done`] once the
-    /// borrow ends.
+    /// reported back via [`Engine::gd_local_done`] once the borrow ends.
     gd_done: Vec<Envelope>,
 }
 
@@ -990,9 +975,7 @@ impl<S: DatagramSink, H: LocalInterest> Transport for CoreTransport<'_, S, H> {
     }
 
     fn set_timer(&mut self, delay_us: Micros, timer: TimerKind) {
-        // Untagged fallback: attribute the deadline to shard 0 (only
-        // reachable when actions bypass the shard router).
-        self.set_shard_timer(0, delay_us, timer);
+        poisoned(self.core.timers.lock()).arm(self.now + delay_us, timer);
     }
 
     fn deliver(&mut self, env: Envelope) {
@@ -1011,25 +994,10 @@ impl<S: DatagramSink, H: LocalInterest> Transport for CoreTransport<'_, S, H> {
     }
 
     fn persist(&mut self, key: String, bytes: Vec<u8>) {
-        // Untagged fallback, like `set_timer`.
-        self.persist_shard(0, key, bytes);
+        poisoned(self.core.nv.lock()).persist(0, &key, &bytes);
     }
 
     fn unpersist(&mut self, key: &str) {
-        self.unpersist_shard(0, key);
-    }
-}
-
-impl<S: DatagramSink, H: LocalInterest> ShardTransport for CoreTransport<'_, S, H> {
-    fn set_shard_timer(&mut self, shard: ShardId, delay_us: Micros, timer: TimerKind) {
-        poisoned(self.core.timers.lock()).arm(self.now + delay_us, shard, timer);
-    }
-
-    fn persist_shard(&mut self, shard: ShardId, key: String, bytes: Vec<u8>) {
-        poisoned(self.core.nv.lock()).persist(shard, &key, &bytes);
-    }
-
-    fn unpersist_shard(&mut self, shard: ShardId, key: &str) {
-        poisoned(self.core.nv.lock()).unpersist(shard, key);
+        poisoned(self.core.nv.lock()).unpersist(0, key);
     }
 }

@@ -7,18 +7,15 @@
 //! loop sleeps until the earliest armed deadline (capped so shutdown
 //! stays responsive) and fires whatever has come due.
 //!
-//! There are only four [`TimerKind`]s per engine shard and each is
-//! one-shot (the shard re-arms it from the firing's actions if still
-//! needed), so the "wheel" is a fixed four-slot array *per shard*
-//! keeping the earliest pending deadline per `(shard, kind)`. Arming an
-//! already-armed slot keeps the earlier deadline — a timer may fire
-//! early but never late, and every engine timer handler is idempotent
-//! under early firing (a premature batch flush flushes less, a
-//! premature scan finds no aged gap). Keeping the shard in the key is
-//! what stops one shard's re-arm from masking another's pending
-//! deadline.
+//! There are only four [`TimerKind`]s and each is one-shot (the engine
+//! re-arms it from the firing's actions if still needed), so the
+//! "wheel" is a fixed four-slot array keeping the earliest pending
+//! deadline per kind. Arming an already-armed slot keeps the earlier
+//! deadline — a timer may fire early but never late, and every engine
+//! timer handler is idempotent under early firing (a premature batch
+//! flush flushes less, a premature scan finds no aged gap).
 
-use infobus_core::engine::{Micros, ShardId, TimerKind};
+use infobus_core::engine::{Micros, TimerKind};
 
 const KINDS: [TimerKind; 4] = [
     TimerKind::Batch,
@@ -36,53 +33,38 @@ fn slot(kind: TimerKind) -> usize {
     }
 }
 
-/// Earliest pending deadline per `(shard, timer kind)`.
-#[derive(Debug)]
+/// Earliest pending deadline per timer kind.
+#[derive(Debug, Default)]
 pub struct TimerWheel {
-    /// `deadlines[shard][slot(kind)]`.
-    deadlines: Vec<[Option<Micros>; 4]>,
-}
-
-impl Default for TimerWheel {
-    fn default() -> Self {
-        TimerWheel::new(1)
-    }
+    /// `deadlines[slot(kind)]`.
+    deadlines: [Option<Micros>; 4],
 }
 
 impl TimerWheel {
-    /// Creates an empty wheel for `shards` engine shards (at least one).
-    pub fn new(shards: usize) -> TimerWheel {
-        TimerWheel {
-            deadlines: vec![[None; 4]; shards.max(1)],
-        }
+    /// Creates an empty wheel.
+    pub fn new() -> TimerWheel {
+        TimerWheel::default()
     }
 
-    /// Arms `(shard, kind)` to fire at `at` (keeps an earlier existing
-    /// deadline).
-    pub fn arm(&mut self, at: Micros, shard: ShardId, kind: TimerKind) {
-        let d = &mut self.deadlines[shard][slot(kind)];
+    /// Arms `kind` to fire at `at` (keeps an earlier existing deadline).
+    pub fn arm(&mut self, at: Micros, kind: TimerKind) {
+        let d = &mut self.deadlines[slot(kind)];
         *d = Some(d.map_or(at, |cur| cur.min(at)));
     }
 
-    /// The earliest armed deadline across every shard, if any.
+    /// The earliest armed deadline, if any.
     pub fn next_deadline(&self) -> Option<Micros> {
-        self.deadlines
-            .iter()
-            .flat_map(|per_shard| per_shard.iter().flatten())
-            .copied()
-            .min()
+        self.deadlines.iter().flatten().copied().min()
     }
 
-    /// Takes every timer due at `now`, in (shard, fixed kind) order.
-    pub fn expired(&mut self, now: Micros) -> Vec<(ShardId, TimerKind)> {
+    /// Takes every timer due at `now`, in fixed kind order.
+    pub fn expired(&mut self, now: Micros) -> Vec<TimerKind> {
         let mut due = Vec::new();
-        for (shard, per_shard) in self.deadlines.iter_mut().enumerate() {
-            for kind in KINDS {
-                let d = &mut per_shard[slot(kind)];
-                if d.is_some_and(|at| at <= now) {
-                    *d = None;
-                    due.push((shard, kind));
-                }
+        for kind in KINDS {
+            let d = &mut self.deadlines[slot(kind)];
+            if d.is_some_and(|at| at <= now) {
+                *d = None;
+                due.push(kind);
             }
         }
         due
@@ -95,37 +77,25 @@ mod tests {
 
     #[test]
     fn arm_fire_rearm() {
-        let mut w = TimerWheel::new(1);
+        let mut w = TimerWheel::new();
         assert_eq!(w.next_deadline(), None);
-        w.arm(100, 0, TimerKind::Batch);
-        w.arm(50, 0, TimerKind::Sync);
+        w.arm(100, TimerKind::Batch);
+        w.arm(50, TimerKind::Sync);
         assert_eq!(w.next_deadline(), Some(50));
         assert_eq!(w.expired(49), vec![]);
-        assert_eq!(w.expired(50), vec![(0, TimerKind::Sync)]);
+        assert_eq!(w.expired(50), vec![TimerKind::Sync]);
         assert_eq!(w.next_deadline(), Some(100));
-        assert_eq!(w.expired(1000), vec![(0, TimerKind::Batch)]);
+        assert_eq!(w.expired(1000), vec![TimerKind::Batch]);
         assert_eq!(w.next_deadline(), None);
     }
 
     #[test]
     fn rearming_keeps_earliest() {
-        let mut w = TimerWheel::new(2);
-        w.arm(100, 0, TimerKind::NakScan);
-        w.arm(200, 0, TimerKind::NakScan);
+        let mut w = TimerWheel::new();
+        w.arm(100, TimerKind::NakScan);
+        w.arm(200, TimerKind::NakScan);
         assert_eq!(w.next_deadline(), Some(100));
-        w.arm(30, 0, TimerKind::NakScan);
+        w.arm(30, TimerKind::NakScan);
         assert_eq!(w.next_deadline(), Some(30));
-    }
-
-    #[test]
-    fn shards_keep_independent_deadlines() {
-        let mut w = TimerWheel::new(3);
-        w.arm(100, 0, TimerKind::NakScan);
-        w.arm(40, 2, TimerKind::NakScan);
-        // Shard 2's earlier deadline must not mask shard 0's.
-        assert_eq!(w.next_deadline(), Some(40));
-        assert_eq!(w.expired(40), vec![(2, TimerKind::NakScan)]);
-        assert_eq!(w.next_deadline(), Some(100));
-        assert_eq!(w.expired(100), vec![(0, TimerKind::NakScan)]);
     }
 }

@@ -148,7 +148,7 @@ fn unsubscribe_announces_removal_and_filters_at_the_daemon() {
     c.on_peer_datagram(T0 + 20, addr(2), &data_frame(&publisher, T0 + 20, "u.x", 2));
     // Nothing local matches any more: dropped at the daemon boundary,
     // never queued.
-    assert_eq!(c.sharded_stats().merged.filtered, 1);
+    assert_eq!(c.stats().filtered, 1);
     assert_eq!(recv_i64(&rx), None);
 }
 
@@ -251,7 +251,7 @@ fn nothing_reachable_from_the_wire_panics() {
         }
     }
 
-    let stats = c.sharded_stats().merged;
+    let stats = c.stats();
     assert!(stats.net_decode_errors > 0 && stats.net_rx_packets > 0);
     assert_eq!(
         stats.net_decode_errors + stats.net_rx_packets,

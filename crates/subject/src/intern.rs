@@ -57,8 +57,8 @@ impl fmt::Display for SubjectId {
 /// Cloning is two pointer-sized copies (the id and a reference-count
 /// bump on the shared text). Equality, hashing, and ordering all follow
 /// the subject **text** — the id is deliberately excluded, so values
-/// interned by different tables (or different shards at different
-/// times) compare exactly like the underlying strings and map/set
+/// interned by different tables (or by one table at different times)
+/// compare exactly like the underlying strings and map/set
 /// behavior is identical to the pre-interning code.
 #[derive(Clone)]
 pub struct InternedSubject {
@@ -168,8 +168,8 @@ impl fmt::Debug for InternedSubject {
 /// The per-daemon intern table: subject text → dense [`SubjectId`],
 /// first-appearance ordered.
 ///
-/// The table is a cheap cloneable handle (shards of one daemon share a
-/// single table, so an id means the same thing on every shard). Lookups
+/// The table is a cheap cloneable handle (a driver shares its engine's
+/// table, so an id means the same thing on both sides). Lookups
 /// of already-interned subjects take a read lock only; a miss validates
 /// the text, assigns the next id under the write lock, and stores the
 /// one shared [`Subject`] every later [`InternedSubject`] will alias.

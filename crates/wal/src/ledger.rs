@@ -132,21 +132,6 @@ pub struct LedgerStats {
     pub spilled: u64,
 }
 
-impl LedgerStats {
-    /// Sums another ledger's counters into this one (per-shard ledgers
-    /// fan in to one daemon-level view; the gauges sum because each
-    /// shard owns a disjoint slice).
-    pub fn merge_from(&mut self, other: &LedgerStats) {
-        self.appends += other.appends;
-        self.bytes += other.bytes;
-        self.segments += other.segments;
-        self.compactions += other.compactions;
-        self.recovered += other.recovered;
-        self.truncations += other.truncations;
-        self.spilled += other.spilled;
-    }
-}
-
 /// Where one live entry's payload currently lives.
 enum Slot {
     /// Payload mirrored in memory (fast path, bounded by
